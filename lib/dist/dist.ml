@@ -186,6 +186,7 @@ let census ?obs ?rcn ?ledger ?(resume = false) ?(fsync = true)
      [lo, hi) rank ranges on the wire. *)
   let sym_orbits =
     if config.Api.Config.sym then
+      let t0 = Obs.Clock.now () in
       let s =
         Sym.make ~values:space.Synth.num_values ~ops:space.Synth.num_rws
           ~responses:space.Synth.num_responses
@@ -196,7 +197,9 @@ let census ?obs ?rcn ?ledger ?(resume = false) ?(fsync = true)
       | Some o ->
           Obs.Metrics.Counter.add (Obs.counter o "sym.classes") (Array.length reps);
           Obs.Metrics.Counter.add (Obs.counter o "sym.orbit_max")
-            (Array.fold_left max 0 orbits));
+            (Array.fold_left max 0 orbits);
+          Obs.Metrics.Counter.add (Obs.counter o "sym.canon_ns")
+            (int_of_float ((Obs.Clock.now () -. t0) *. 1e9)));
       Some orbits
     else None
   in

@@ -5,7 +5,10 @@
      1. iterated color refinement over the three sorts (values, ops,
         responses) until the partition stabilizes — signatures are
         isomorphism-invariant, so the final coloring is too, and dense
-        color ids assigned in signature order are themselves canonical;
+        color ids assigned in signature order are themselves canonical.
+        A signature is an int row (own color, then the sorted encodings
+        of the element's incident cells) in a preallocated array, so a
+        round allocates nothing;
      2. enumerate every *class-respecting* placement of values and ops
         into canonical positions (color blocks in color order, any
         order within a block) — any relabeling that maps the table onto
@@ -22,7 +25,12 @@
    Refinement does the heavy lifting: on random tables most colors are
    singletons and step 2 enumerates a handful of placements.  The
    worst case (the fully symmetric table) enumerates values! * ops!
-   placements, which is why census spaces keep dimensions small. *)
+   placements, which is why census spaces keep dimensions small.
+
+   [classes] quotients a whole rankable space: a flat integer sweep that
+   enumerates each orbit through a precomputed table of per-cell digit
+   contributions, marks its members in a bitset, and canonizes only the
+   orbit's first-met index. *)
 
 type t = {
   values : int;
@@ -112,59 +120,122 @@ let index_of_table t tbl =
 
 (* --- color refinement ----------------------------------------------- *)
 
-(* Reassign dense colors from signatures: equal signature, equal color;
-   colors ordered by signature.  Returns the class count. *)
-let recolor sigs col =
-  let n = Array.length sigs in
-  let order = Array.init n Fun.id in
-  Array.sort (fun a b -> compare sigs.(a) sigs.(b)) order;
+(* Signatures are int rows in one flat array per sort: row [i] starts at
+   [start.(i)] and holds [len.(i)] ints — the element's own color, then
+   its incident cells encoded as [(a * k + b) * k + c] with every
+   component a color below [k], sorted ascending.  Rows compare
+   lexicographically, a proper prefix first: exactly the order
+   polymorphic [compare] gives the [(color, sorted triple list)] pairs
+   they encode, so the dense color ids below — and every canonical form
+   built on them — are independent of the encoding. *)
+
+let compare_rows rows start len a b =
+  let la = len.(a) and lb = len.(b) in
+  let oa = start.(a) and ob = start.(b) in
+  let i = ref 0 and c = ref 0 in
+  while !c = 0 && !i < la && !i < lb do
+    c := Int.compare rows.(oa + !i) rows.(ob + !i);
+    incr i
+  done;
+  if !c <> 0 then !c else Int.compare la lb
+
+(* Ascending insertion sort of [a.(lo) .. a.(hi - 1)]: rows hold a
+   handful of entries, so this beats a general sort and allocates
+   nothing. *)
+let insertion_sort_ints a lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* Reassign dense colors from the rows: equal row, equal color; colors
+   ordered by row.  [order] is scratch of length [n].  Returns the class
+   count. *)
+let recolor rows start len order n col =
+  for i = 0 to n - 1 do
+    order.(i) <- i
+  done;
+  for i = 1 to n - 1 do
+    let x = order.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && compare_rows rows start len order.(!j) x > 0 do
+      order.(!j + 1) <- order.(!j);
+      decr j
+    done;
+    order.(!j + 1) <- x
+  done;
   let c = ref 0 in
-  Array.iteri
-    (fun k i ->
-      if k > 0 && compare sigs.(order.(k - 1)) sigs.(i) <> 0 then incr c;
-      col.(i) <- !c)
-    order;
+  for k = 0 to n - 1 do
+    if k > 0 && compare_rows rows start len order.(k - 1) order.(k) <> 0 then incr c;
+    col.(order.(k)) <- !c
+  done;
   !c + 1
 
+(* Iterated refinement to the stable partition.  Each round builds every
+   sort's rows from the previous round's colors before recoloring any
+   sort, and stops once no sort gains a class.  A value's row has one
+   entry per op and an op's one per value; a response's row has one per
+   cell that emits it, so response rows are packed back to back and the
+   three row arrays together hold [3 * cells + values + ops + responses]
+   ints — small enough for the minor heap. *)
 let refine t tbl =
   let v = t.values and o = t.ops and r = t.responses in
+  let k = max v (max o r) in
   let vc = Array.make v 0 and oc = Array.make o 0 and rc = Array.make r 0 in
-  let round () =
-    let vsig =
-      Array.init v (fun x ->
-          ( vc.(x),
-            List.sort compare
-              (List.init o (fun op ->
-                   let rs, y = tbl.((x * o) + op) in
-                   (oc.(op), rc.(rs), vc.(y)))) ))
-    in
-    let osig =
-      Array.init o (fun op ->
-          ( oc.(op),
-            List.sort compare
-              (List.init v (fun x ->
-                   let rs, y = tbl.((x * o) + op) in
-                   (vc.(x), rc.(rs), vc.(y)))) ))
-    in
-    let rsig =
-      Array.init r (fun r0 ->
-          let occs = ref [] in
-          for x = 0 to v - 1 do
-            for op = 0 to o - 1 do
-              let rs, y = tbl.((x * o) + op) in
-              if rs = r0 then occs := (vc.(x), oc.(op), vc.(y)) :: !occs
-            done
-          done;
-          (rc.(r0), List.sort compare !occs))
-    in
-    let nv = recolor vsig vc and no = recolor osig oc and nr = recolor rsig rc in
-    (nv, no, nr)
+  let vstart = Array.init v (fun x -> x * (1 + o)) and vlen = Array.make v (1 + o) in
+  let ostart = Array.init o (fun op -> op * (1 + v)) and olen = Array.make o (1 + v) in
+  let rlen = Array.make r 1 in
+  Array.iter (fun (rs, _) -> rlen.(rs) <- rlen.(rs) + 1) tbl;
+  let rstart = Array.make r 0 in
+  for r0 = 1 to r - 1 do
+    rstart.(r0) <- rstart.(r0 - 1) + rlen.(r0 - 1)
+  done;
+  let vrows = Array.make (v * (1 + o)) 0 in
+  let orows = Array.make (o * (1 + v)) 0 in
+  let rrows = Array.make (r + t.cells) 0 in
+  let rnext = Array.make r 0 in
+  let order = Array.make k 0 in
+  let rec go kv ko kr =
+    for x = 0 to v - 1 do
+      vrows.(vstart.(x)) <- vc.(x)
+    done;
+    for op = 0 to o - 1 do
+      orows.(ostart.(op)) <- oc.(op)
+    done;
+    for r0 = 0 to r - 1 do
+      rrows.(rstart.(r0)) <- rc.(r0);
+      rnext.(r0) <- rstart.(r0) + 1
+    done;
+    for x = 0 to v - 1 do
+      for op = 0 to o - 1 do
+        let rs, y = tbl.((x * o) + op) in
+        let cx = vc.(x) and cop = oc.(op) and cr = rc.(rs) and cy = vc.(y) in
+        vrows.(vstart.(x) + 1 + op) <- (((cop * k) + cr) * k) + cy;
+        orows.(ostart.(op) + 1 + x) <- (((cx * k) + cr) * k) + cy;
+        rrows.(rnext.(rs)) <- (((cx * k) + cop) * k) + cy;
+        rnext.(rs) <- rnext.(rs) + 1
+      done
+    done;
+    for x = 0 to v - 1 do
+      insertion_sort_ints vrows (vstart.(x) + 1) (vstart.(x) + vlen.(x))
+    done;
+    for op = 0 to o - 1 do
+      insertion_sort_ints orows (ostart.(op) + 1) (ostart.(op) + olen.(op))
+    done;
+    for r0 = 0 to r - 1 do
+      insertion_sort_ints rrows (rstart.(r0) + 1) (rstart.(r0) + rlen.(r0))
+    done;
+    let nv = recolor vrows vstart vlen order v vc in
+    let no = recolor orows ostart olen order o oc in
+    let nr = recolor rrows rstart rlen order r rc in
+    if nv <> kv || no <> ko || nr <> kr then go nv no nr
   in
-  let rec go prev =
-    let next = round () in
-    if next <> prev then go next
-  in
-  go (-1, -1, -1);
+  go (-1) (-1) (-1);
   (vc, oc)
 
 (* Call [f] on every placement perm with perm.(position) = old id such
@@ -285,59 +356,79 @@ let permutations n =
    tables costs a refinement + placement search each, which dominates a
    reduced census.  Instead, walk indices ascending and, at each index
    not yet claimed by an earlier orbit, enumerate its whole orbit by
-   applying every group element once — marking every member so later
-   sweep positions skip it, and counting the distinct images (the orbit
-   size, definitionally).  Only the one orbit seed is canonized, to name
-   the class by its canonical index.  Total work is classes
-   canonizations plus classes * |G| cheap table maps, instead of size
-   canonizations.  (The canonical index is *not* simply the least index
-   in the orbit — canonize restricts its search to class-respecting
-   placements, so its minimum is over a refinement-invariant subset of
-   images, not the whole orbit — which is why the seed must still go
-   through canonize.) *)
+   applying every group element once — marking every member in a bitset
+   so later sweep positions skip it, and counting the distinct images
+   (the orbit size, definitionally).  Only the one orbit seed is
+   canonized, to name the class by its canonical index.  (The canonical
+   index is *not* simply the least index in the orbit — canonize
+   restricts its search to class-respecting placements, so its minimum
+   is over a refinement-invariant subset of images, not the whole orbit
+   — which is why the seed must still go through canonize.)
+
+   The group action is linear in the digits: element g sends digit d of
+   cell c to digit [digit_g(d)] of cell [pos_g(c)], so the image's index
+   is the sum over cells of [base ^ pos_g(c) * digit_g(d)].  [contrib]
+   precomputes every such term, laid out [(g * cells + c) * base + d],
+   and an image costs [cells] lookups and adds. *)
 let classes t =
-  let pvs = permutations t.values in
-  let pops = permutations t.ops in
-  let prs = permutations t.responses in
+  let v = t.values and o = t.ops and cells = t.cells and base = t.base in
   let size = space_size t in
-  let mark = Bytes.make size '\000' in
-  let tbl = Array.make t.cells (0, 0) in
-  let digits = Array.make t.cells 0 in
+  let group = group_order t in
+  let stride = cells * base in
+  let contrib = Array.make (group * stride) 0 in
+  let pow = Array.make cells 1 in
+  for i = 1 to cells - 1 do
+    pow.(i) <- pow.(i - 1) * base
+  done;
+  let pos = permutations o and prs = permutations t.responses in
+  let elt = ref 0 in
+  List.iter
+    (fun pv ->
+      List.iter
+        (fun po ->
+          List.iter
+            (fun pr ->
+              let off = !elt * stride in
+              for x = 0 to v - 1 do
+                for op = 0 to o - 1 do
+                  let p = pow.((pv.(x) * o) + po.(op)) in
+                  let cell = off + (((x * o) + op) * base) in
+                  for d = 0 to base - 1 do
+                    contrib.(cell + d) <- p * ((pr.(d / v) * v) + pv.(d mod v))
+                  done
+                done
+              done;
+              incr elt)
+            prs)
+        pos)
+    (permutations v);
+  let mark = Bytes.make ((size + 7) / 8) '\000' in
+  let offs = Array.make cells 0 in
+  let tbl = Array.make cells (0, 0) in
   let acc = ref [] in
   for idx = 0 to size - 1 do
-    if Bytes.get mark idx = '\000' then begin
+    if Char.code (Bytes.get mark (idx lsr 3)) land (1 lsl (idx land 7)) = 0 then begin
       let rem = ref idx in
-      for i = 0 to t.cells - 1 do
-        let d = !rem mod t.base in
-        tbl.(i) <- (d / t.values, d mod t.values);
-        rem := !rem / t.base
+      for c = 0 to cells - 1 do
+        let d = !rem mod base in
+        offs.(c) <- (c * base) + d;
+        tbl.(c) <- (d / v, d mod v);
+        rem := !rem / base
       done;
       let distinct = ref 0 in
-      List.iter
-        (fun pv ->
-          List.iter
-            (fun po ->
-              List.iter
-                (fun pr ->
-                  for x = 0 to t.values - 1 do
-                    let row = x * t.ops in
-                    let row' = pv.(x) * t.ops in
-                    for op = 0 to t.ops - 1 do
-                      let rs, y = tbl.(row + op) in
-                      digits.(row' + po.(op)) <- (pr.(rs) * t.values) + pv.(y)
-                    done
-                  done;
-                  let img = ref 0 in
-                  for i = t.cells - 1 downto 0 do
-                    img := (!img * t.base) + digits.(i)
-                  done;
-                  if Bytes.get mark !img = '\000' then begin
-                    Bytes.set mark !img '\001';
-                    incr distinct
-                  end)
-                prs)
-            pops)
-        pvs;
+      for g = 0 to group - 1 do
+        let off = g * stride in
+        let img = ref 0 in
+        for c = 0 to cells - 1 do
+          img := !img + contrib.(off + offs.(c))
+        done;
+        let byte = !img lsr 3 and bit = 1 lsl (!img land 7) in
+        let m = Char.code (Bytes.get mark byte) in
+        if m land bit = 0 then begin
+          Bytes.set mark byte (Char.chr (m lor bit));
+          incr distinct
+        end
+      done;
       let c = canonize t tbl in
       acc := (c.index, !distinct) :: !acc
     end

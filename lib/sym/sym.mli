@@ -94,8 +94,11 @@ val digest : t -> (int * int) array -> string
 val classes : t -> int array * int array
 (** [(reps, orbits)]: the canonical representatives of every orbit in
     increasing rank order, with [orbits.(i)] the orbit size of
-    [reps.(i)].  A full scan of the space — O(size) canonizations — so
-    meant for census-sized spaces, not for one-off queries. *)
+    [reps.(i)].  A full sweep of the space: one canonization per class,
+    plus {!group_order} images per class (each a sum of {!cells}
+    precomputed table entries), plus a [space_size / 8]-byte bitset of
+    claimed indices — meant for census-sized spaces, not for one-off
+    queries. *)
 
 (** {1 Brute-force oracles (for tests)} *)
 

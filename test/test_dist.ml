@@ -363,7 +363,8 @@ let test_sym_census_bit_identical () =
   check_bool "the injected crash was observed" true (o.Dist.deaths >= 1);
   let classes = counter obs "sym.classes" in
   check_bool "sym.classes nonzero" true (classes > 0);
-  check_bool "strictly fewer classes than tables" true (classes < total)
+  check_bool "strictly fewer classes than tables" true (classes < total);
+  check_bool "sym.canon_ns recorded, as in Engine.census" true (counter obs "sym.canon_ns" > 0)
 
 (* ---------------------------------------------------------------- *)
 (* The deadline regression (once a bug): the wall-clock budget is

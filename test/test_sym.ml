@@ -97,11 +97,14 @@ let test_classes_partition () =
     spaces
 
 (* Every index canonizes to a rep of its class, and class membership is
-   consistent: members counted per rep equal the rep's orbit. *)
+   consistent: members counted per rep equal the rep's orbit.  All
+   46,656 indices of {3,2,2}, so the sweep's orbit images and the
+   canonizer's class-respecting search are checked against each other
+   on a space with three values for refinement to split. *)
 let test_classes_cover () =
-  let t = Sym.make ~values:2 ~ops:2 ~responses:2 in
+  let t = Sym.make ~values:3 ~ops:2 ~responses:2 in
   let reps, orbits = Sym.classes t in
-  let count = Hashtbl.create 16 in
+  let count = Hashtbl.create 4096 in
   for idx = 0 to Sym.space_size t - 1 do
     let c = Sym.canonize_index t idx in
     Hashtbl.replace count c.Sym.index (1 + Option.value ~default:0 (Hashtbl.find_opt count c.Sym.index))
@@ -112,6 +115,77 @@ let test_classes_cover () =
       check_int "class population = orbit size" orbits.(i)
         (Option.value ~default:0 (Hashtbl.find_opt count rep)))
     reps
+
+(* --- bit-identity pins ----------------------------------------------- *)
+
+(* [Sym.classes] is the work list of every [--sym] census, checkpoint
+   and distributed lease: its reps and orbit sizes are pinned as an MD5
+   of their decimal rendering, so any change to the sweep or to the
+   canonizer's choice of representative shows up here. *)
+let classes_pins =
+  [
+    ((2, 2, 2), 44, "47a5230d0a354b3d636aeb1196834f89");
+    ((3, 2, 2), 2038, "85fd203159ce6cac4924a8021ca86a24");
+    ((2, 3, 2), 226, "e06a7e5c22aae6c56ce2bb534b740cc9");
+    ((2, 2, 3), 74, "a405c209ac23d3c67326897f8d1e881e");
+    ((3, 2, 3), 7623, "17ded03bbbf87651e8ddf200a918a295");
+    ((3, 2, 4), 11676, "4f5d55ee8c7ae3fef597b87e57c2d079");
+  ]
+
+let test_classes_pinned () =
+  List.iter
+    (fun ((v, o, r), n, md5) ->
+      let t = Sym.make ~values:v ~ops:o ~responses:r in
+      let reps, orbits = Sym.classes t in
+      let name = Printf.sprintf "{%d,%d,%d}" v o r in
+      check_int (name ^ " class count") n (Array.length reps);
+      Alcotest.(check string)
+        (name ^ " reps and orbits")
+        md5
+        (Digest.to_hex
+           (Digest.string
+              (String.concat " "
+                 (List.map string_of_int (Array.to_list reps @ Array.to_list orbits))))))
+    classes_pins
+
+(* The canonical form depends on the dense color ids refinement hands
+   out (placements walk color blocks in color order), and the form is
+   the key material of [Sym.digest] — the [--sym] store key and the
+   synthesizer's symmetry memo.  A fixed-seed sample of tables, some
+   drawn from restricted value/response ranges so unused labels and
+   uneven response rows occur, pins the digests.  {11,3,11} is
+   unrankable: only [canonize]/[digest] apply there. *)
+let test_digest_color_order_pinned () =
+  (* a 48-bit LCG, so the sample does not depend on [Random] *)
+  let state = ref 0x2545F491 in
+  let next bound =
+    state := ((!state * 0x5DEECE66D) + 0xB) land ((1 lsl 48) - 1);
+    (!state lsr 17) mod bound
+  in
+  let sample ~restrict (v, o, r) count =
+    let t = Sym.make ~values:v ~ops:o ~responses:r in
+    let out = ref [] in
+    for _ = 1 to count do
+      let rlim = if restrict then 1 + next r else r in
+      let vlim = if restrict then 1 + next v else v in
+      let tbl = Array.make (v * o) (0, 0) in
+      for i = 0 to (v * o) - 1 do
+        let rs = next rlim in
+        tbl.(i) <- (rs, next vlim)
+      done;
+      out := Sym.digest t tbl :: !out
+    done;
+    List.rev !out
+  in
+  (* full-range draws only on {11,3,11}: a near-constant table there
+     leaves up to 11! * 3! class-respecting placements *)
+  let a = sample ~restrict:true (4, 2, 2) 300 in
+  let b = sample ~restrict:true (3, 3, 2) 300 in
+  let c = sample ~restrict:false (11, 3, 11) 100 in
+  let digests = a @ b @ c in
+  Alcotest.(check string)
+    "sampled digests" "0f85e00bf07eee2cc9ae730dfbdd622c"
+    (Digest.to_hex (Digest.string (String.concat "\n" digests)))
 
 (* --- qcheck: invariance under random relabelings --------------------- *)
 
@@ -225,6 +299,8 @@ let suite =
     ("canonize agrees with brute force on {2,2,2}", `Quick, test_brute_agreement);
     ("orbit sizes sum to the candidate count", `Quick, test_classes_partition);
     ("classes cover the space", `Quick, test_classes_cover);
+    ("classes pinned bit-identical", `Quick, test_classes_pinned);
+    ("digest color order pinned", `Quick, test_digest_color_order_pinned);
     ("canonical digests", `Quick, test_digest);
     ("canonical analyze store keys", `Quick, test_canonical_query_digest);
     ("sym census bit-identical on {2,2,2}", `Quick, test_census_sym_small);
