@@ -24,6 +24,10 @@ check: build test inject-smoke stats-smoke soak-smoke serve-smoke dist-smoke cra
 # the full mixed output for CI to archive on failure, and validate the
 # JSON stats block's shape — in particular the cache accounting invariant
 # hits + misses + expired = probes — with the dependency-free checker.
+# Then pin the kernel counters of a fixed {2,2,2} cap-4 census at one and
+# at two jobs: the census reuses one kernel per (domain, process count),
+# retargeted per table, and every count must land in the run's registry
+# exactly as 256 fresh compiles would put it there.
 # The built binaries are invoked directly: two `dune exec` in one pipeline
 # contend for the _build lock.
 stats-smoke: build
@@ -33,7 +37,15 @@ stats-smoke: build
 	  | ./_build/default/tools/stats_check.exe --require engine.candidates --require pool.tasks \
 	      --require-nonzero decide.trie_nodes --require-nonzero decide.kernel_evals \
 	      --require decide.partitions_pruned
-	rm -f $(SMOKE_DIR)/stats-smoke.out
+	for jobs in 1 2; do \
+	  ./_build/default/bin/rcn.exe census --values 2 --rws 2 --responses 2 --cap 4 \
+	    --jobs $$jobs --stats json \
+	    | tee $(SMOKE_DIR)/stats-smoke-census-$$jobs.out \
+	    | ./_build/default/tools/stats_check.exe --require-eq census.tables=256 \
+	        --require-eq decide.kernel_evals=15320 \
+	        --require-eq decide.partitions_pruned=8736 || exit 1; \
+	done
+	rm -f $(SMOKE_DIR)/stats-smoke.out $(SMOKE_DIR)/stats-smoke-census-*.out
 
 # Fixed-seed fault-injection campaign over the known-broken protocols
 # (register race, test-and-set under crashes, and T_{3,1}'s recoverable

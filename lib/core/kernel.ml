@@ -101,10 +101,11 @@ let count_naive (ty : Objtype.t) ~n =
 
 (* ------------------------------------------------------------------ *)
 (* Shared trie memo.  Tries depend only on the process count, so every
-   type decided at the same [n] — the census case — shares one.  Reads
-   after [warm_trie] are lock-free from the caller's point of view
-   (the table is only mutated under the lock and lookups take it too,
-   but the hit path holds it for a hash probe only). *)
+   type decided at the same [n] — the census case — shares one.  Every
+   lookup and insertion takes the lock; a hit holds it for one hash
+   probe.  [compile] is the only caller on the decision path, and a
+   census compiles once per (domain, process count), so the lock is off
+   the per-table path. *)
 
 let trie_lock = Mutex.create ()
 let tries : (int, Sched.Trie.t) Hashtbl.t = Hashtbl.create 8
@@ -152,7 +153,7 @@ type part = {
 }
 
 type t = {
-  ty : Objtype.t;
+  mutable ty : Objtype.t;
   n : int;
   nv : int;
   no : int;
@@ -168,24 +169,40 @@ type t = {
   parts : part array;
   per_u : int;
   total : int;
-  c_evals : Obs.Metrics.Counter.t option;
-  c_pruned : Obs.Metrics.Counter.t option;
-  c_patches : Obs.Metrics.Counter.t option;
-  c_invalidated : Obs.Metrics.Counter.t option;
-  c_reused : Obs.Metrics.Counter.t option;
+  (* The counters live in the context the kernel was compiled (or last
+     retargeted) with: [obs] is that context, compared physically so a
+     retarget under the same context skips the registry lookups. *)
+  mutable obs : Obs.t option;
+  mutable c_evals : Obs.Metrics.Counter.t option;
+  mutable c_pruned : Obs.Metrics.Counter.t option;
+  mutable c_patches : Obs.Metrics.Counter.t option;
+  mutable c_invalidated : Obs.Metrics.Counter.t option;
+  mutable c_reused : Obs.Metrics.Counter.t option;
 }
 
-let compile ?obs (ty : Objtype.t) ~n =
-  if n < 2 then invalid_arg "Kernel.compile: need n >= 2";
-  let nv = ty.Objtype.num_values and no = ty.Objtype.num_ops and nr = ty.Objtype.num_responses in
-  let next = Array.make (nv * no) 0 and resp = Array.make (nv * no) 0 in
-  for v = 0 to nv - 1 do
+let fill_tables (ty : Objtype.t) ~no next resp =
+  for v = 0 to ty.Objtype.num_values - 1 do
     for o = 0 to no - 1 do
       let r, v' = ty.Objtype.delta v o in
       next.((v * no) + o) <- v';
       resp.((v * no) + o) <- r
     done
-  done;
+  done
+
+let bind_counters k obs =
+  let c name = Option.map (fun o -> Obs.counter o name) obs in
+  k.obs <- obs;
+  k.c_evals <- c "decide.kernel_evals";
+  k.c_pruned <- c "decide.partitions_pruned";
+  k.c_patches <- c "kernel.patches";
+  k.c_invalidated <- c "kernel.masks_invalidated";
+  k.c_reused <- c "kernel.masks_reused"
+
+let compile ?obs (ty : Objtype.t) ~n =
+  if n < 2 then invalid_arg "Kernel.compile: need n >= 2";
+  let nv = ty.Objtype.num_values and no = ty.Objtype.num_ops and nr = ty.Objtype.num_responses in
+  let next = Array.make (nv * no) 0 and resp = Array.make (nv * no) 0 in
+  fill_tables ty ~no next resp;
   let trie = shared_trie ?obs ~nprocs:n () in
   let nparts = (1 lsl (n - 1)) - 1 in
   let start = ref 0 in
@@ -220,28 +237,33 @@ let compile ?obs (ty : Objtype.t) ~n =
         p)
   in
   let per_u = !start in
-  {
-    ty;
-    n;
-    nv;
-    no;
-    nr;
-    next;
-    resp;
-    t_nodes = Sched.Trie.num_nodes trie;
-    t_parent = Sched.Trie.parent trie;
-    t_proc = Sched.Trie.proc trie;
-    t_first = Sched.Trie.first trie;
-    t_depth = Sched.Trie.depth trie;
-    parts;
-    per_u;
-    total = nv * per_u;
-    c_evals = Option.map (fun o -> Obs.counter o "decide.kernel_evals") obs;
-    c_pruned = Option.map (fun o -> Obs.counter o "decide.partitions_pruned") obs;
-    c_patches = Option.map (fun o -> Obs.counter o "kernel.patches") obs;
-    c_invalidated = Option.map (fun o -> Obs.counter o "kernel.masks_invalidated") obs;
-    c_reused = Option.map (fun o -> Obs.counter o "kernel.masks_reused") obs;
-  }
+  let k =
+    {
+      ty;
+      n;
+      nv;
+      no;
+      nr;
+      next;
+      resp;
+      t_nodes = Sched.Trie.num_nodes trie;
+      t_parent = Sched.Trie.parent trie;
+      t_proc = Sched.Trie.proc trie;
+      t_first = Sched.Trie.first trie;
+      t_depth = Sched.Trie.depth trie;
+      parts;
+      per_u;
+      total = nv * per_u;
+      obs = None;
+      c_evals = None;
+      c_pruned = None;
+      c_patches = None;
+      c_invalidated = None;
+      c_reused = None;
+    }
+  in
+  if Option.is_some obs then bind_counters k obs;
+  k
 
 let total k = k.total
 
@@ -265,6 +287,17 @@ type entry = {
 
 let dummy_entry = { masks = [||]; cells = [||]; valid = false; version = -1 }
 
+(* The evaluation memo, keyed by [memo_code]: a plain int table (no
+   polymorphic hashing) that starts at the minimum bucket count, so a
+   one-shot scratch pays almost nothing for it and a reused one grows
+   only to the entries one decision actually made. *)
+module Memo = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash c = c land max_int
+end)
+
 type scratch = {
   value : int array; (* per trie node: folded final value; value.(0) = u *)
   resp_at : int array; (* per trie node: response of the node's last step *)
@@ -276,7 +309,7 @@ type scratch = {
   ops0 : int array; (* T_0's sorted assignment (first size0 slots used) *)
   ops1 : int array; (* T_1's sorted assignment *)
   proc_resp : int array; (* Tables mode: last response per process *)
-  memo : (int, entry) Hashtbl.t; (* (u, ops, condition) -> entry *)
+  memo : entry Memo.t; (* (u, ops, condition) -> entry *)
   watch : entry list array; (* per cell: entries whose masks read it *)
   cur_cells : int array; (* bitset buffer for the eval in progress *)
   cell_words : int; (* length of [cur_cells] *)
@@ -301,6 +334,13 @@ type scratch = {
       (* [exists]'s last witnessing rank per condition (Recording at 0,
          Discerning at 1), -1 when the last scan refuted.  Always
          re-verified before being trusted, so staleness is harmless. *)
+  (* Counter traffic, tallied here per candidate and flushed into the
+     kernel's counters once per public call ([flush]): one atomic add
+     per scan instead of one per candidate. *)
+  mutable n_evals : int;
+  mutable n_pruned : int;
+  mutable n_reused : int;
+  mutable epoch : int; (* bumped by [retarget]; patch tokens carry it *)
 }
 
 let scratch k =
@@ -315,7 +355,7 @@ let scratch k =
     ops0 = Array.make k.n 0;
     ops1 = Array.make k.n 0;
     proc_resp = Array.make k.n 0;
-    memo = Hashtbl.create 1024;
+    memo = Memo.create 16;
     watch = Array.make (k.nv * k.no) [];
     cur_cells = Array.make (((k.nv * k.no) + 31) / 32) 0;
     cell_words = ((k.nv * k.no) + 31) / 32;
@@ -328,6 +368,10 @@ let scratch k =
     v_version = [||];
     v_bool = Bytes.empty;
     hint = [| -1; -1 |];
+    n_evals = 0;
+    n_pruned = 0;
+    n_reused = 0;
+    epoch = 0;
   }
 
 (* Memo key: the ops array as a base-[no] number, tagged with the
@@ -500,7 +544,16 @@ let classify_disc_masks (masks : int array) part =
   !ok
 
 let count_opt = function Some c -> Obs.Metrics.Counter.incr c | None -> ()
-let add_opt c n = match c with Some c -> Obs.Metrics.Counter.add c n | None -> ()
+let add_opt c n = match c with Some c when n <> 0 -> Obs.Metrics.Counter.add c n | _ -> ()
+
+(* Move the scratch's tallies into the kernel's counters. *)
+let flush k s =
+  add_opt k.c_evals s.n_evals;
+  add_opt k.c_pruned s.n_pruned;
+  add_opt k.c_reused s.n_reused;
+  s.n_evals <- 0;
+  s.n_pruned <- 0;
+  s.n_reused <- 0
 
 (* Register [e] in the watch buckets of every cell its last evaluation
    read.  Buckets are cleared when their cell is patched; an entry may
@@ -521,7 +574,7 @@ let check_current ~mode k s cond ~u part =
   match mode with
   | Reference -> invalid_arg "Kernel: mode Reference has no compiled path (use Decide)"
   | Tables -> (
-      count_opt k.c_evals;
+      s.n_evals <- s.n_evals + 1;
       match cond with
       | Recording ->
           eval_rec_tables k s ~u;
@@ -533,16 +586,16 @@ let check_current ~mode k s cond ~u part =
           ok)
   | Trie -> (
       let code = memo_code k s cond ~u in
-      match Hashtbl.find_opt s.memo code with
+      match Memo.find_opt s.memo code with
       | Some e when e.valid -> (
-          count_opt k.c_pruned;
-          if s.patches_seen > 0 then count_opt k.c_reused;
+          s.n_pruned <- s.n_pruned + 1;
+          if s.patches_seen > 0 then s.n_reused <- s.n_reused + 1;
           s.last <- e;
           match cond with
           | Recording -> classify_rec k e.masks part ~u
           | Discerning -> classify_disc_masks e.masks part)
       | stale ->
-          count_opt k.c_evals;
+          s.n_evals <- s.n_evals + 1;
           if s.track then Array.fill s.cur_cells 0 s.cell_words 0;
           let masks =
             match cond with
@@ -579,7 +632,7 @@ let check_current ~mode k s cond ~u part =
                     e
                 | None ->
                     let e = { masks; cells; valid = true; version = s.vclock } in
-                    Hashtbl.add s.memo code e;
+                    Memo.add s.memo code e;
                     e)
           in
           if s.track then register_watch k s e;
@@ -633,6 +686,7 @@ type patch = {
   p_next : int;
   p_stamp : int;
   p_events : int;
+  p_epoch : int;
   p_saved : (entry * int array * int array * int) list;
       (* (entry, masks, cells, version) at patch time *)
 }
@@ -645,7 +699,7 @@ let invalidate k s c =
   let saved = ref [] in
   if not s.track then begin
     s.track <- true;
-    Hashtbl.iter
+    Memo.iter
       (fun _ e ->
         if e.valid then begin
           e.valid <- false;
@@ -685,9 +739,10 @@ let patch k s ~cell:(v, o) ~entry:(r, v') =
   k.resp.(c) <- r;
   k.next.(c) <- v';
   let p_saved = invalidate k s c in
-  { p_cell = c; p_resp; p_next; p_stamp; p_events; p_saved }
+  { p_cell = c; p_resp; p_next; p_stamp; p_events; p_epoch = s.epoch; p_saved }
 
-let unpatch k s { p_cell = c; p_resp; p_next; p_stamp; p_events; p_saved } =
+let unpatch k s { p_cell = c; p_resp; p_next; p_stamp; p_events; p_epoch; p_saved } =
+  if p_epoch <> s.epoch then invalid_arg "Kernel.unpatch: token predates a retarget";
   k.resp.(c) <- p_resp;
   k.next.(c) <- p_next;
   if s.track && s.patch_events = p_events + 1 then begin
@@ -722,6 +777,45 @@ let unpatch k s { p_cell = c; p_resp; p_next; p_stamp; p_events; p_saved } =
     add_opt k.c_reused (List.length p_saved)
   end
   else ignore (invalidate k s c)
+
+(* ------------------------------------------------------------------ *)
+(* Retargeting: the same compiled kernel and scratch, a new table of the
+   same shape.  Everything shape-dependent (trie, partitions, ranks,
+   buffer sizes) carries over; the tables are overwritten in place and
+   the scratch is put back in its freshly-made state — memo, watch
+   buckets, tracking, verdict cache, hint, [last] — at a cost bounded by
+   what the previous table's decisions used.  The patch clock and the
+   version clock are not rolled back, and the epoch bump voids every
+   outstanding patch token. *)
+
+let retarget ?obs k s (ty : Objtype.t) =
+  if
+    ty.Objtype.num_values <> k.nv || ty.Objtype.num_ops <> k.no
+    || ty.Objtype.num_responses <> k.nr
+  then
+    invalid_arg
+      (Printf.sprintf "Kernel.retarget: shape %dx%dx%d, kernel compiled for %dx%dx%d"
+         ty.Objtype.num_values ty.Objtype.num_ops ty.Objtype.num_responses k.nv k.no k.nr);
+  fill_tables ty ~no:k.no k.next k.resp;
+  k.ty <- ty;
+  flush k s;
+  (match (k.obs, obs) with
+  | Some a, Some b when a == b -> ()
+  | None, None -> ()
+  | _ -> bind_counters k obs);
+  Memo.clear s.memo;
+  if s.track then begin
+    Array.fill s.watch 0 (Array.length s.watch) [];
+    s.track <- false;
+    s.v_entry <- [||];
+    s.v_version <- [||];
+    s.v_bool <- Bytes.empty
+  end;
+  s.patches_seen <- 0;
+  s.last <- dummy_entry;
+  s.hint.(0) <- -1;
+  s.hint.(1) <- -1;
+  s.epoch <- s.epoch + 1
 
 let to_objtype ?name k =
   let name = match name with Some n -> n | None -> k.ty.Objtype.name in
@@ -785,11 +879,9 @@ let search_range ?(mode = Trie) k s cond ~lo ~hi ~stop =
     (* The rank-indexed verdict cache (live once the scratch has been
        patched, Trie mode only): a candidate whose entry survived the
        patches since it was classified is answered by one validity
-       check, no memo probe and no re-classification.  Counter traffic
-       on this path is tallied locally and flushed once per scan. *)
+       check, no memo probe and no re-classification. *)
     let vact = mode = Trie && s.v_version <> [||] in
     let vbase = (match cond with Recording -> 0 | Discerning -> 1) * k.total in
-    let fast_hits = ref 0 in
     (try
        while !witness = None && !rank < hi do
          (* locate the partition block containing [rem] *)
@@ -812,7 +904,8 @@ let search_range ?(mode = Trie) k s cond ~lo ~hi ~stop =
                  let vi = vbase + !rank in
                  let e = s.v_entry.(vi) in
                  if e.valid && s.v_version.(vi) = e.version then begin
-                   incr fast_hits;
+                   s.n_pruned <- s.n_pruned + 1;
+                   s.n_reused <- s.n_reused + 1;
                    Bytes.unsafe_get s.v_bool vi = '\001'
                  end
                  else begin
@@ -848,12 +941,12 @@ let search_range ?(mode = Trie) k s cond ~lo ~hi ~stop =
          end
        done
      with Stopped -> ());
-    add_opt k.c_pruned !fast_hits;
-    add_opt k.c_reused !fast_hits;
+    flush k s;
     (!witness, !checked)
   end
 
-(* Re-verify one rank (through the verdict cache when it is live). *)
+(* Re-verify one rank (through the verdict cache when it is live); the
+   caller flushes the tallies. *)
 let check_rank ~mode k s cond rank =
   let u = rank / k.per_u and rem = rank mod k.per_u in
   let pi = ref 0 in
@@ -869,8 +962,8 @@ let check_rank ~mode k s cond rank =
     let e = s.v_entry.(vi) in
     e.valid && s.v_version.(vi) = e.version
   then begin
-    add_opt k.c_pruned 1;
-    add_opt k.c_reused 1;
+    s.n_pruned <- s.n_pruned + 1;
+    s.n_reused <- s.n_reused + 1;
     Bytes.unsafe_get s.v_bool vi = '\001'
   end
   else begin
@@ -900,7 +993,10 @@ let exists ?(mode = Trie) k s cond =
   | Tables | Trie -> ());
   let slot = match cond with Recording -> 0 | Discerning -> 1 in
   let h = s.hint.(slot) in
-  if h >= 0 && check_rank ~mode k s cond h then true
+  if h >= 0 && check_rank ~mode k s cond h then begin
+    flush k s;
+    true
+  end
   else
     match search_range ~mode k s cond ~lo:0 ~hi:k.total ~stop:(fun _ -> false) with
     | Some r, _ ->
@@ -947,4 +1043,6 @@ let check ?(mode = Trie) k s cond ~u ~team ~ops =
       start = 0;
     }
   in
-  check_current ~mode k s cond ~u part
+  let ok = check_current ~mode k s cond ~u part in
+  flush k s;
+  ok

@@ -32,14 +32,17 @@
     chunked index ranges and keep the deterministic minimum-index
     (= sequential first) witness guarantee.
 
-    Everything in a compiled {!t} is immutable and safe to share across
-    domains; each worker needs its own {!scratch}.  The one exception is
-    the {e patched} kernel: {!patch} / {!unpatch} mutate the flat tables
-    in place for the synthesizer's warm-start neighborhood search.  A
-    kernel that has been patched is paired with the single scratch the
-    patches were applied through and must stay confined to one domain —
-    never share it, and never use a second scratch on it (the other
-    scratch's memo would silently describe the pre-patch tables). *)
+    Ownership.  A compiled {!t} that is only searched is safe to share
+    across domains, each worker with its own {!scratch}; the kernel's
+    counters are bumped from per-scratch tallies, once per call.  Three
+    operations mutate a kernel's flat tables in place, and a kernel any
+    of them has touched is paired with one scratch and confined to one
+    domain — never share it, and never use a second scratch on it (the
+    other scratch's memo would silently describe the old tables):
+    {!patch} / {!unpatch}, the synthesizer's one-cell warm-start edits,
+    and {!retarget}, which swaps in a whole new table of the same shape
+    so a census compiles one kernel and scratch per (domain, [n]) and
+    reuses them for every table it decides. *)
 
 type condition = Discerning | Recording
 (** Re-exported by [Decide]; defined here so the kernel does not depend
@@ -92,6 +95,23 @@ val candidate : t -> int -> Objtype.value * bool array * Objtype.op array
     to [Certificate.make]).  @raise Invalid_argument out of range. *)
 
 val scratch : t -> scratch
+(** A fresh scratch for [k].  Its evaluation memo starts at the minimum
+    bucket count and grows with use, so a one-shot scratch is cheap. *)
+
+val retarget : ?obs:Obs.t -> t -> scratch -> Objtype.t -> unit
+(** [retarget ?obs k s ty] makes [k] decide [ty]: the flat tables are
+    overwritten in place from [ty.delta], and [s] is reset to the state
+    of a fresh [scratch k] — evaluation memo, patch state (watch
+    buckets, cell tracking, verdict cache), [exists] hints — in time
+    bounded by what the previous table's decisions used.  The kernel
+    counters are rebound to [obs] (unbound when absent), exactly as
+    [compile ?obs] would bind them.  Afterwards [k] and [s] answer every
+    query, and count every counter, byte-identically to
+    [compile ?obs ty ~n] with a fresh scratch; {!to_objtype}'s default
+    name becomes [ty]'s.  Patch tokens taken before the retarget are
+    void ({!unpatch} rejects them).
+    @raise Invalid_argument when [ty]'s [(num_values, num_ops,
+    num_responses)] differ from the compiled type's. *)
 
 val search_range :
   ?mode:mode ->
@@ -176,7 +196,9 @@ val patch :
     [kernel.masks_reused].  @raise Invalid_argument out of range. *)
 
 val unpatch : t -> scratch -> patch -> unit
-(** Restore the cell a {!patch} call rewrote (same invalidation cost). *)
+(** Restore the cell a {!patch} call rewrote (same invalidation cost).
+    @raise Invalid_argument when [s] has been {!retarget}ed since the
+    token was taken. *)
 
 val to_objtype : ?name:string -> t -> Objtype.t
 (** The type the kernel's {e current} tables decide — after patches, the

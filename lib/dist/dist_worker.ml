@@ -11,9 +11,12 @@
    (possibly truncated) range, disjoint from everyone else's.
 
    Failure handling is one-sided by design: a worker that loses its
-   coordinator (EOF or EPIPE on the socket) is an orphan and exits
-   quietly; a worker that receives a nonsensical reply exits 70; the
-   coordinator's lease machinery handles everything else. *)
+   coordinator is an orphan and exits 0 quietly.  The socket says so in
+   one of three ways: EOF on read, EPIPE on write, or ECONNRESET on
+   either (the coordinator died, e.g. kill -9, with bytes the worker
+   sent still unread).  A worker that receives a nonsensical reply
+   exits 70; the coordinator's lease machinery handles everything
+   else. *)
 
 exception Bye of int
 
@@ -133,5 +136,5 @@ let run ?obs ?(stride = 32) ?(throttle_us = 0) ?(crash_after = 0)
     loop ()
   with
   | Bye code -> code
-  | Unix.Unix_error (Unix.EPIPE, _, _) -> 0
+  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> 0
   | Sys_error _ -> 0

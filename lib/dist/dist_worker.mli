@@ -11,7 +11,7 @@
     report the range's histogram as [Result].
 
     Returns the process exit code: [0] on [Shutdown] {e and} on losing
-    the coordinator (EOF/EPIPE — an orphan exits quietly; the
+    the coordinator (EOF, EPIPE or ECONNRESET — an orphan exits quietly; the
     coordinator's lease machinery owns all failure handling), [70] on a
     protocol violation.
 

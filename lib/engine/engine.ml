@@ -466,10 +466,40 @@ let analyze_all ?cache ?obs ?supervisor ~(config : Api.Config.t) pool types =
        ~kernel:config.Api.Config.kernel pool)
     types
 
-(* Truncated levels of one census table, replaying against the shared
-   schedule sets.  Matches [Census.levels] (the same [Decide.search] on the
-   same schedules), without caching per-type outcomes: census tables are
-   pairwise distinct, so an outcome memo would only grow. *)
+(* Per-domain census kernels: slot [n] holds one kernel and scratch
+   compiled for process count [n], retargeted to every table this domain
+   decides at that [n] (recompiled only when a table's shape differs).
+   Slots are domain-local, so a kernel is only ever touched by the
+   domain that owns it — the confinement [Kernel.retarget] asks for —
+   provided no two systhreads of that domain decide at once (see the
+   interface). *)
+type census_slot = { shape : int * int * int; k : Kernel.t; s : Kernel.scratch }
+
+let census_slots : census_slot option array ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [||])
+
+let census_kernel ?obs (ty : Objtype.t) ~n =
+  let slots = Domain.DLS.get census_slots in
+  if Array.length !slots <= n then
+    slots := Array.init (n + 1) (fun i -> if i < Array.length !slots then !slots.(i) else None);
+  let shape = (ty.Objtype.num_values, ty.Objtype.num_ops, ty.Objtype.num_responses) in
+  match !slots.(n) with
+  | Some slot when slot.shape = shape ->
+      Kernel.retarget ?obs slot.k slot.s ty;
+      slot
+  | _ ->
+      let k = Kernel.compile ?obs ty ~n in
+      let slot = { shape; k; s = Kernel.scratch k } in
+      !slots.(n) <- Some slot;
+      slot
+
+(* Truncated levels of one census table.  The verdicts are
+   [Census.levels]' — the compiled path decides each (condition, n) on
+   this domain's reused kernel with the same full-range scan a fresh
+   [Decide.search] runs (same counts, no certificate built); the
+   reference path replays the shared schedule sets.  Per-type outcomes
+   are not cached: census tables are pairwise distinct, so an outcome
+   memo would only grow. *)
 let census_levels ?obs cache ~kernel ~cap ty =
   let level condition =
     let rec loop n =
@@ -479,10 +509,12 @@ let census_levels ?obs cache ~kernel ~cap ty =
           match kernel with
           | Kernel.Reference ->
               let scheds = Cache.scheds cache ~n in
-              Decide.search ~scheds ~mode:Kernel.Reference condition ty ~n
-          | mode -> Decide.search ?obs ~mode condition ty ~n
+              Option.is_some (Decide.search ~scheds ~mode:Kernel.Reference condition ty ~n)
+          | mode ->
+              let slot = census_kernel ?obs ty ~n in
+              Decide.holds ~mode slot.k slot.s condition
         in
-        match found with Some _ -> loop (n + 1) | None -> n - 1
+        if found then loop (n + 1) else n - 1
     in
     loop 2
   in

@@ -226,12 +226,18 @@ val analyze_all :
 val census_levels :
   ?obs:Obs.t -> Cache.t -> kernel:Kernel.mode -> cap:int -> Objtype.t -> int * int
 (** One census table's truncated [(discerning, recording)] levels — the
-    same [Decide.search] sweep on the same shared schedule sets that
-    {!census} runs per table, exposed so a distributed-census worker
-    process ([lib/dist]) decides its leased rank range exactly like the
-    in-process sweep decides a chunk.  Deliberately uncached per type:
-    census tables are pairwise distinct, so an outcome memo would only
-    grow. *)
+    sweep {!census} runs per table, exposed so a distributed-census
+    worker process ([lib/dist]) decides its leased rank range exactly
+    like the in-process sweep decides a chunk.  The compiled modes
+    decide on the calling domain's reused kernels (one per process
+    count, {!Kernel.retarget}ed to [ty]), with the verdicts and
+    [decide.*] counts of a fresh [Decide.search] per level; [Reference]
+    replays [cache]'s shared schedule sets.  The kernels are per domain,
+    not per thread: two systhreads of one domain must not run it at the
+    same time (pool workers run one chunk at a time, and [rcn serve]
+    runs every engine request on its one scheduler thread).
+    Deliberately uncached per type: census tables are pairwise
+    distinct, so an outcome memo would only grow. *)
 
 type census_run = {
   entries : Census.entry list;  (** histogram over the *decided* tables *)

@@ -407,6 +407,28 @@ let test_deadline_survives_respawn () =
     true
     (elapsed < deadline +. 2.8)
 
+(* An orphaned worker whose coordinator died with the worker's Hello
+   still unread: closing a Unix stream socket over unread data resets
+   the connection, so the worker's next read fails with ECONNRESET
+   rather than reading EOF.  The orphan must exit 0 like any other. *)
+let test_orphan_on_reset () =
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let coordinator =
+    Thread.create
+      (fun () ->
+        (* Wait for the Hello, then die without reading it. *)
+        ignore (Unix.select [ theirs ] [] [] 10.);
+        Unix.close theirs)
+      ()
+  in
+  let code =
+    Fun.protect
+      ~finally:(fun () -> Unix.close ours)
+      (fun () -> Dist_worker.run ~config ~space ~fd:ours ())
+  in
+  Thread.join coordinator;
+  check_int "orphan exits 0 on a reset link" 0 code
+
 let test_bad_parameters () =
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
   check_bool "workers = 0 rejected" true
@@ -436,4 +458,6 @@ let suite =
       test_deadline_survives_respawn;
     Alcotest.test_case "nonsensical parameters are rejected" `Quick
       test_bad_parameters;
+    Alcotest.test_case "orphaned worker exits quietly on a reset link" `Quick
+      test_orphan_on_reset;
   ]

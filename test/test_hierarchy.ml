@@ -633,6 +633,113 @@ let prop_patched_kernel_matches_fresh_compile =
           !ok && agrees ())
         [ 2; 3 ])
 
+let prop_retargeted_kernel_matches_fresh_compile =
+  (* The census reuse contract: one kernel and scratch, retargeted
+     through a random sequence of same-shape tables — with patches
+     (some still outstanding) and queries interleaved before some of the
+     retargets — answer every query after each retarget byte-identically
+     to a fresh compile, and count the decide.* counters identically
+     into the context the retarget names. *)
+  let arbitrary = QCheck.make ~print:string_of_int QCheck.Gen.int in
+  QCheck.Test.make ~name:"retargeted kernel matches a fresh compile" ~count:40 arbitrary
+    (fun case_seed ->
+      let rng = Random.State.make [| case_seed; 0xc15 |] in
+      let nv = 2 + Random.State.int rng 3 in
+      let no = 2 + Random.State.int rng 2 in
+      let nr = 2 + Random.State.int rng 2 in
+      let mk () =
+        let t =
+          Array.init (nv * no) (fun _ -> (Random.State.int rng nr, Random.State.int rng nv))
+        in
+        Objtype.make ~name:"retargeted" ~num_values:nv ~num_ops:no ~num_responses:nr
+          (fun v o -> t.((v * no) + o))
+      in
+      let counts obs =
+        List.map
+          (fun name -> Obs.Metrics.Counter.value (Obs.counter obs name))
+          [ "decide.kernel_evals"; "decide.partitions_pruned" ]
+      in
+      (* One fixed interrogation, per condition: exists, both compiled
+         full scans, and single-candidate checks at the probe ranks. *)
+      let answers k s probes =
+        List.map
+          (fun cond ->
+            let exists = Kernel.exists k s cond in
+            let scans =
+              List.map
+                (fun mode ->
+                  Kernel.search_range ~mode k s cond ~lo:0 ~hi:(Kernel.total k)
+                    ~stop:(fun _ -> false))
+                [ Kernel.Tables; Kernel.Trie ]
+            in
+            let checks =
+              List.map
+                (fun rank ->
+                  let u, team, ops = Kernel.candidate k rank in
+                  Kernel.check k s cond ~u ~team ~ops)
+                probes
+            in
+            (exists, scans, checks))
+          [ Kernel.Discerning; Kernel.Recording ]
+      in
+      List.for_all
+        (fun n ->
+          let k = Kernel.compile (mk ()) ~n in
+          let s = Kernel.scratch k in
+          let ok = ref true in
+          for _step = 0 to 11 do
+            (* Dirty the scratch first, sometimes: a warm memo, live
+               patches (tokens left outstanding), a live verdict cache. *)
+            if Random.State.bool rng then ignore (Kernel.exists k s Kernel.Recording);
+            for _ = 1 to Random.State.int rng 4 do
+              let v = Random.State.int rng nv and o = Random.State.int rng no in
+              let tok =
+                Kernel.patch k s ~cell:(v, o)
+                  ~entry:(Random.State.int rng nr, Random.State.int rng nv)
+              in
+              ignore (Kernel.exists k s Kernel.Discerning);
+              if Random.State.bool rng then Kernel.unpatch k s tok
+            done;
+            let ty = mk () in
+            let obs = Obs.create () and fresh_obs = Obs.create () in
+            Kernel.retarget ~obs k s ty;
+            let fresh = Kernel.compile ~obs:fresh_obs ty ~n in
+            let fs = Kernel.scratch fresh in
+            let probes = List.init 3 (fun _ -> Random.State.int rng (Kernel.total k)) in
+            ok :=
+              !ok
+              && Objtype.equal_behaviour (Kernel.to_objtype k) ty
+              && answers k s probes = answers fresh fs probes
+              && counts obs = counts fresh_obs
+          done;
+          !ok)
+        [ 2; 3 ])
+
+let test_retarget_rejects () =
+  let tas = Gallery.test_and_set in
+  let k = Kernel.compile tas ~n:2 in
+  let s = Kernel.scratch k in
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  let other =
+    Objtype.make ~name:"wider" ~num_values:(tas.Objtype.num_values + 1)
+      ~num_ops:tas.Objtype.num_ops ~num_responses:tas.Objtype.num_responses (fun _ _ -> (0, 0))
+  in
+  Alcotest.(check bool) "different shape rejected" true (raises (fun () -> Kernel.retarget k s other));
+  (* [moved] differs from test-and-set in cell (0, 0) only, so a stale
+     unpatch that wrote its saved entry back would show. *)
+  let nv = tas.Objtype.num_values and nr = tas.Objtype.num_responses in
+  let r0, v0 = tas.Objtype.delta 0 0 in
+  let moved =
+    Objtype.make ~name:"moved" ~num_values:nv ~num_ops:tas.Objtype.num_ops ~num_responses:nr
+      (fun v o -> if v = 0 && o = 0 then ((r0 + 1) mod nr, (v0 + 1) mod nv) else tas.Objtype.delta v o)
+  in
+  let tok = Kernel.patch k s ~cell:(0, 0) ~entry:(0, 0) in
+  Kernel.retarget k s moved;
+  Alcotest.(check bool) "pre-retarget patch token rejected" true
+    (raises (fun () -> Kernel.unpatch k s tok));
+  Alcotest.(check bool) "tables untouched by the rejected unpatch" true
+    (Objtype.equal_behaviour (Kernel.to_objtype k) moved)
+
 let suite =
   [
     Alcotest.test_case "certificate validation" `Quick test_certificate_validation;
@@ -673,4 +780,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_decider_certificates_replay;
     QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
     QCheck_alcotest.to_alcotest prop_patched_kernel_matches_fresh_compile;
+    Alcotest.test_case "retarget rejects a different shape, voids tokens" `Quick
+      test_retarget_rejects;
+    QCheck_alcotest.to_alcotest prop_retargeted_kernel_matches_fresh_compile;
   ]

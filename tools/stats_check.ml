@@ -14,7 +14,11 @@
      never compiled a trie or evaluated a candidate is not a smoke run);
    - every counter named as `--require-zero NAME` exists and is exactly 0
      (the form invariant-violation counters are validated with: the
-     crashtest smoke must have run its plans and found nothing).
+     crashtest smoke must have run its plans and found nothing);
+   - every counter named as `--require-eq NAME=VALUE` exists and equals
+     VALUE exactly (the form pinned counts are validated with: a fixed
+     census must decide the same tables with the same kernel work at
+     every job count).
 
    Dependency-free on purpose (the repo vendors no JSON library): the
    stats line is machine-written with a fixed key order and no whitespace,
@@ -48,6 +52,7 @@ let () =
   let required = ref []
   and required_nonzero = ref []
   and required_zero = ref []
+  and required_eq = ref []
   and inputs = ref [] in
   let rec parse = function
     | "--require" :: name :: rest ->
@@ -59,7 +64,13 @@ let () =
     | "--require-zero" :: name :: rest ->
         required_zero := name :: !required_zero;
         parse rest
-    | ("--require" | "--require-nonzero" | "--require-zero") :: [] ->
+    | "--require-eq" :: spec :: rest ->
+        (match String.split_on_char '=' spec with
+        | [ name; v ] when name <> "" && int_of_string_opt v <> None ->
+            required_eq := (name, int_of_string v) :: !required_eq
+        | _ -> fail "--require-eq needs NAME=INTEGER, got %S" spec);
+        parse rest
+    | ("--require" | "--require-nonzero" | "--require-zero" | "--require-eq") :: [] ->
         fail "--require needs a counter name"
     | path :: rest ->
         inputs := path :: !inputs;
@@ -128,9 +139,17 @@ let () =
       | Some 0 -> ()
       | Some v -> fail "required-zero counter %s is %d" name v)
     !required_zero;
+  List.iter
+    (fun (name, want) ->
+      match int_field line name with
+      | None -> fail "missing required counter %s" name
+      | Some v when v = want -> ()
+      | Some v -> fail "counter %s is %d, required %d" name v want)
+    !required_eq;
   let all_required =
-    List.rev_append !required_zero
-      (List.rev_append !required_nonzero (List.rev !required))
+    List.rev_append (List.map fst !required_eq)
+      (List.rev_append !required_zero
+         (List.rev_append !required_nonzero (List.rev !required)))
   in
   Printf.printf "stats_check: ok (%s%s)\n" cache_report
     (match all_required with
