@@ -14,10 +14,10 @@ test:
 # in the repo root.
 SMOKE_DIR := _build/smoke
 
-# What CI runs: full build, the whole test suite (including the engine
-# parity properties), a parallel-engine smoke through the CLI, the
-# fault-injection smoke, the stats-export smoke, and the kill(-9) soak.
-check: build test inject-smoke stats-smoke soak-smoke serve-smoke dist-smoke crash-smoke
+# What CI runs (its only build-and-test step): full build, the whole
+# test suite (including the engine parity properties), every smoke, and
+# a parallel-engine analyze through the CLI.
+check: build test inject-smoke stats-smoke soak-smoke serve-smoke dist-smoke synth-smoke crash-smoke
 	dune exec bin/rcn.exe -- analyze test-and-set --cap 3 --jobs 2
 
 # Stats-export smoke: run an instrumented analyze on a gallery type, keep
@@ -100,7 +100,7 @@ dist-smoke: build
 bench:
 	dune exec bench/main.exe
 
-# E18 kernel ablation (reference vs tables vs tables+trie on the E9/E11
+# E18 compiled kernel vs reference (trie vs reference on the E9/E11
 # workloads); writes BENCH_e18.json for CI to archive and exits nonzero
 # if the modes disagree or the census speedup drops below the 3x floor.
 bench-e18: build

@@ -1,7 +1,7 @@
-(* Standalone entry point for the E18 kernel ablation (make bench-e18):
-   runs the ablation, writes BENCH_e18.json, and fails loudly if any mode
-   disagrees or the headline census speedup regresses below the 3x
-   acceptance floor. *)
+(* Standalone entry point for E18 (make bench-e18): times the trie
+   kernel against the reference checkers, writes BENCH_e18.json, and
+   fails loudly if the two modes disagree or the headline census
+   speedup regresses below the 3x acceptance floor. *)
 
 let () =
   let rows = Kernel_ablation.run () in

@@ -473,6 +473,15 @@ let census values rws responses cap sample_count seed jobs kernel deadline sym
         (durable, "--durable (the ledger is always fsync'd)");
       ];
     let config = build_config ~cap ~jobs ~kernel ~deadline ~sym sup_opts in
+    (match
+       Api.Request.validate
+         (Api.Request.Census
+            { space; sample = None; seed; checkpoint = None; resume; durable; config })
+     with
+    | Ok () -> ()
+    | Error msg ->
+        Printf.eprintf "rcn: %s\n" msg;
+        exit 2);
     census_dist ~obs ~space ~config ~workers ~ledger ~resume ~lease_ttl
       ~chunk:dist_chunk ~stride:dist_stride
       ~crash:(parse_slot_spec ~flag:"--dist-crash" dist_crash)
@@ -1470,10 +1479,9 @@ let kernel_t =
     value & opt kernel_conv Kernel.Trie
     & info [ "kernel" ] ~docv:"MODE"
         ~doc:
-          "Decision kernel: $(b,on) (default; compiled transition tables \
-           plus the schedule-prefix trie), $(b,tables) (compiled tables \
-           without the trie — the ablation point), or $(b,off) / \
-           $(b,reference) (the direct reference checkers).  All modes \
+          "Decision kernel: $(b,on) / $(b,trie) (default; compiled \
+           transition tables plus the schedule-prefix trie) or $(b,off) / \
+           $(b,reference) (the direct reference checkers).  Both modes \
            return bit-identical results at every job count; the escape \
            hatch exists for benchmarking and for differential debugging.")
 

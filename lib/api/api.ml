@@ -364,6 +364,24 @@ module Request = struct
     | Analyze { config; _ } | Census { config; _ } | Synth { config; _ } -> Some config
     | Metrics | Ping -> None
 
+  (* An exhaustive census also needs its table count to fit an [int]; a
+     sampled one never enumerates the space. *)
+  let check_space ~exhaustive space =
+    match
+      Synth.check_space space;
+      if exhaustive then ignore (Census.space_size space)
+    with
+    | () -> Ok ()
+    | exception Invalid_argument msg -> Error msg
+
+  let validate req =
+    let* () = match config req with Some c -> Config.validate c | None -> Ok () in
+    match req with
+    | Census { sample = Some n; _ } when n < 0 -> Error "sample must be nonnegative"
+    | Census { space; sample; _ } -> check_space ~exhaustive:(sample = None) space
+    | Synth { space; _ } -> check_space ~exhaustive:false space
+    | Analyze _ | Metrics | Ping -> Ok ()
+
   let envelope kind fields =
     Wire.Obj ((("rcn_request", Wire.Int 1) :: ("kind", Wire.String kind) :: fields))
 

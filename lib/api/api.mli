@@ -128,6 +128,15 @@ module Request : sig
     | Ping
 
   val config : t -> Config.t option
+
+  val validate : t -> (unit, string) result
+  (** Everything a decoded request must satisfy before it reaches the
+      engine: {!Config.validate} on its config, and for census and synth
+      requests a well-formed space — every dimension at least 2
+      ([Synth.check_space]), a nonnegative [sample], and for an
+      exhaustive census a table count ([Census.space_size]) that fits an
+      [int].  The error names the failed check. *)
+
   val to_json : t -> Wire.t
   val of_json : Wire.t -> (t, string) result
 

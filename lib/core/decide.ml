@@ -158,21 +158,19 @@ let search_reference ?naive ?scheds condition t ~n =
   | Seq.Cons (c, _) -> Some c
 
 let search ?(naive = false) ?scheds ?obs ?(mode = Kernel.Trie) condition t ~n =
-  if naive || mode = Kernel.Reference then
-    search_reference ~naive ?scheds condition t ~n
-  else begin
-    if n < 2 then invalid_arg "Decide: need n >= 2";
-    let k = Kernel.compile ?obs t ~n in
-    let s = Kernel.scratch k in
-    match
-      Kernel.search_range ~mode k s condition ~lo:0 ~hi:(Kernel.total k)
-        ~stop:(fun _ -> false)
-    with
-    | Some rank, _ ->
-        let u, team, ops = Kernel.candidate k rank in
-        Some (Certificate.make ~objtype:t ~initial:u ~team ~ops)
-    | None, _ -> None
-  end
+  match mode with
+  | Kernel.Trie when not naive -> (
+      if n < 2 then invalid_arg "Decide: need n >= 2";
+      let k = Kernel.compile ?obs t ~n in
+      let s = Kernel.scratch k in
+      match
+        Kernel.search_range k s condition ~lo:0 ~hi:(Kernel.total k) ~stop:(fun _ -> false)
+      with
+      | Some rank, _ ->
+          let u, team, ops = Kernel.candidate k rank in
+          Some (Certificate.make ~objtype:t ~initial:u ~team ~ops)
+      | None, _ -> None)
+  | Kernel.Reference | Kernel.Trie -> search_reference ~naive ?scheds condition t ~n
 
 let is_discerning t ~n = Option.is_some (search Discerning t ~n)
 let is_recording t ~n = Option.is_some (search Recording t ~n)
@@ -181,7 +179,7 @@ let is_recording t ~n = Option.is_some (search Recording t ~n)
    [is_recording] on the kernel's current tables, but against a caller-owned
    long-lived kernel + scratch — the synthesizer holds one per fitness level
    across a whole climb and mutates it with [Kernel.patch] between calls. *)
-let holds ?(mode = Kernel.Trie) k s condition = Kernel.exists ~mode k s condition
+let holds k s condition = Kernel.exists k s condition
 
 let search_partitioned ?(clean = false) ?(mode = Kernel.Trie) condition t ~team =
   let n = Array.length team in
@@ -194,10 +192,10 @@ let search_partitioned ?(clean = false) ?(mode = Kernel.Trie) condition t ~team 
         let scheds = Sched.at_most_once ~nprocs:n in
         let check = checker condition in
         fun u ops -> check t scheds ~u ~team ~ops
-    | mode ->
+    | Kernel.Trie ->
         let k = Kernel.compile t ~n in
         let s = Kernel.scratch k in
-        fun u ops -> Kernel.check ~mode k s condition ~u ~team ~ops
+        fun u ops -> Kernel.check k s condition ~u ~team ~ops
   in
   Seq.concat_map
     (fun u -> Seq.map (fun ops -> (u, ops)) (ops_for_team t team))
@@ -208,106 +206,3 @@ let search_partitioned ?(clean = false) ?(mode = Kernel.Trie) condition t ~team 
            if (not clean) || Certificate.is_clean cert then Some cert else None
          else None)
   |> fun seq -> (match seq () with Seq.Nil -> None | Seq.Cons (c, _) -> Some c)
-
-(* Deterministic minimal-witness search.  The candidate order puts the
-   initial value [u] in the outer loop, so the sequential first witness
-   is the first (team, ops) witness of the *smallest* witnessing [u].
-   Each domain owns the values congruent to its id mod [domains],
-   records at most one witness per owned [u] into that value's private
-   slot (disjoint writes), and races to lower [best]; values at or above
-   the current minimum are pruned.  Every [u] below the final minimum
-   was fully swept and refuted, so the returned certificate is exactly
-   [search]'s — at any domain count. *)
-let search_parallel ?domains ?(mode = Kernel.Trie) condition t ~n =
-  if n < 2 then invalid_arg "Decide: need n >= 2";
-  let domains =
-    match domains with
-    | Some d when d >= 1 -> d
-    | Some _ -> invalid_arg "Decide.search_parallel: domains must be positive"
-    | None -> min 8 (Domain.recommended_domain_count ())
-  in
-  if domains = 1 || t.Objtype.num_values = 1 then search ~mode condition t ~n
-  else begin
-    match mode with
-    | Kernel.Reference ->
-        let scheds = Sched.at_most_once ~nprocs:n in
-        let check = checker condition in
-        let witnesses : (bool array * int array) option array =
-          Array.make t.Objtype.num_values None
-        in
-        let best = Atomic.make t.Objtype.num_values in
-        let exception Witnessed in
-        let worker k () =
-          let u = ref k in
-          while !u < Atomic.get best do
-            (try
-               Seq.iter
-                 (fun (team, ops) ->
-                   if check t scheds ~u:!u ~team ~ops then begin
-                     witnesses.(!u) <- Some (team, ops);
-                     let rec lower () =
-                       let b = Atomic.get best in
-                       if !u < b && not (Atomic.compare_and_set best b !u) then
-                         lower ()
-                     in
-                     lower ();
-                     raise Witnessed
-                   end)
-                 (Seq.concat_map
-                    (fun team ->
-                      Seq.map (fun ops -> (team, ops)) (ops_for_team t team))
-                    (partitions n))
-             with Witnessed -> ());
-            u := !u + domains
-          done
-        in
-        let handles =
-          List.init (domains - 1) (fun k -> Domain.spawn (worker (k + 1)))
-        in
-        worker 0 ();
-        List.iter Domain.join handles;
-        (match Atomic.get best with
-        | b when b = t.Objtype.num_values -> None
-        | b ->
-            let team, ops = Option.get witnesses.(b) in
-            Some (Certificate.make ~objtype:t ~initial:b ~team ~ops))
-    | mode ->
-        (* Kernelized variant of the same protocol: a [u]'s candidates are
-           one contiguous rank block, and the minimal witnessing *rank*
-           within a block is what [Kernel.search_range] returns. *)
-        let k = Kernel.compile t ~n in
-        let per_u = Kernel.total k / t.Objtype.num_values in
-        let witnesses = Array.make t.Objtype.num_values (-1) in
-        let best = Atomic.make t.Objtype.num_values in
-        let worker kid () =
-          let s = Kernel.scratch k in
-          let u = ref kid in
-          while !u < Atomic.get best do
-            (match
-               Kernel.search_range ~mode k s condition ~lo:(!u * per_u)
-                 ~hi:((!u + 1) * per_u)
-                 ~stop:(fun _ -> false)
-             with
-            | Some rank, _ ->
-                witnesses.(!u) <- rank;
-                let rec lower () =
-                  let b = Atomic.get best in
-                  if !u < b && not (Atomic.compare_and_set best b !u) then
-                    lower ()
-                in
-                lower ()
-            | None, _ -> ());
-            u := !u + domains
-          done
-        in
-        let handles =
-          List.init (domains - 1) (fun k -> Domain.spawn (worker (k + 1)))
-        in
-        worker 0 ();
-        List.iter Domain.join handles;
-        (match Atomic.get best with
-        | b when b = t.Objtype.num_values -> None
-        | b ->
-            let u, team, ops = Kernel.candidate k witnesses.(b) in
-            Some (Certificate.make ~objtype:t ~initial:u ~team ~ops))
-  end

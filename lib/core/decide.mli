@@ -32,7 +32,7 @@ val search :
     Requires [n >= 2].
 
     [mode] selects the implementation (default [Kernel.Trie], the
-    compiled kernel; see {!Kernel.mode}) — all modes return bit-identical
+    compiled kernel; see {!Kernel.mode}) — both modes return bit-identical
     results, pinned by the differential test suite.  [~naive:true]
     implies the reference path (the unpruned space exists only there).
     [?scheds] supplies a precomputed [Sched.at_most_once ~nprocs:n] (it
@@ -44,16 +44,16 @@ val search :
 val is_discerning : Objtype.t -> n:int -> bool
 val is_recording : Objtype.t -> n:int -> bool
 
-val holds : ?mode:Kernel.mode -> Kernel.t -> Kernel.scratch -> condition -> bool
+val holds : Kernel.t -> Kernel.scratch -> condition -> bool
 (** Decide the condition against a caller-owned kernel and scratch —
     [is_discerning] / [is_recording] without the per-call compile.  The
     verdict is for the kernel's {e current} tables, so this is the
     decision point for incremental synthesis: hold one kernel + scratch
     per fitness level across a climb, mutate candidates with
     [Kernel.patch] / [Kernel.unpatch] between calls, and the scratch's
-    delta-invalidated memo carries over.  [mode] must be [Tables] or
-    [Trie] ([Kernel.search_range]'s restriction).
-    @raise Invalid_argument on [mode = Reference]. *)
+    delta-invalidated memo carries over.  Always the compiled kernel
+    ([Kernel.exists]); the reference oracle is reached through
+    {!search}[ ~mode:Kernel.Reference]. *)
 
 val certificates :
   ?naive:bool ->
@@ -106,21 +106,3 @@ val search_partitioned :
     [clean:true] (default [false]) only certificates satisfying
     {!Certificate.is_clean} are returned — the variant needed by the
     tournament construction in [Rcn_protocols]. *)
-
-val search_parallel :
-  ?domains:int ->
-  ?mode:Kernel.mode ->
-  condition ->
-  Objtype.t ->
-  n:int ->
-  Certificate.t option
-(** Multicore variant of {!search}: candidate certificates are partitioned
-    by initial value across [domains] worker domains (default: the host's
-    recommended domain count, capped at 8).  Returns exactly {!search}'s
-    certificate at any domain count: each domain keeps at most the first
-    witness per owned initial value and the domains race to *lower* the
-    minimal witnessing value, so the result is the first witness of the
-    smallest witnessing [u] — the sequential enumeration's first hit
-    (pinned by a 1-vs-4-domain parity test).  The big win is on
-    *refutations* — proving a type is not [n]-discerning/-recording scans
-    the whole space, which parallelizes almost linearly. *)

@@ -2,15 +2,14 @@
    the invariants that matter for correctness are spelled out inline. *)
 
 type condition = Discerning | Recording
-type mode = Reference | Tables | Trie
+type mode = Reference | Trie
 
 let mode_of_string = function
   | "on" | "trie" -> Ok Trie
-  | "tables" -> Ok Tables
   | "off" | "reference" -> Ok Reference
-  | s -> Error (`Msg (Printf.sprintf "unknown kernel mode %S (expected on|tables|off|reference)" s))
+  | s -> Error (`Msg (Printf.sprintf "unknown kernel mode %S (expected on|trie|off|reference)" s))
 
-let mode_to_string = function Reference -> "reference" | Tables -> "tables" | Trie -> "trie"
+let mode_to_string = function Reference -> "reference" | Trie -> "trie"
 
 (* ------------------------------------------------------------------ *)
 (* Sorted-multiset combinatorics.  A team of k processes in nondecreasing
@@ -165,7 +164,6 @@ type t = {
   t_parent : int array;
   t_proc : int array;
   t_first : int array;
-  t_depth : int array;
   parts : part array;
   per_u : int;
   total : int;
@@ -179,6 +177,19 @@ type t = {
   mutable c_invalidated : Obs.Metrics.Counter.t option;
   mutable c_reused : Obs.Metrics.Counter.t option;
 }
+
+let make_part ~no ~start team =
+  let t0 = ref [] and t1 = ref [] in
+  for i = Array.length team - 1 downto 0 do
+    if team.(i) then t1 := i :: !t1 else t0 := i :: !t0
+  done;
+  let procs0 = Array.of_list !t0 and procs1 = Array.of_list !t1 in
+  let size0 = Array.length procs0 and size1 = Array.length procs1 in
+  let bits a = Array.fold_left (fun acc i -> acc lor (1 lsl i)) 0 a in
+  let count1 = multiset_count no size1 in
+  let block = multiset_count no size0 * count1 in
+  { team; t0bits = bits procs0; t1bits = bits procs1; size0; size1; procs0; procs1; count1;
+    block; start }
 
 let fill_tables (ty : Objtype.t) ~no next resp =
   for v = 0 to ty.Objtype.num_values - 1 do
@@ -210,30 +221,8 @@ let compile ?obs (ty : Objtype.t) ~n =
     Array.init nparts (fun idx ->
         let mask = idx + 1 in
         let team = Array.init n (fun i -> i > 0 && (mask lsr (i - 1)) land 1 = 1) in
-        let t0 = ref [] and t1 = ref [] in
-        for i = n - 1 downto 0 do
-          if team.(i) then t1 := i :: !t1 else t0 := i :: !t0
-        done;
-        let procs0 = Array.of_list !t0 and procs1 = Array.of_list !t1 in
-        let size0 = Array.length procs0 and size1 = Array.length procs1 in
-        let bits a = Array.fold_left (fun acc i -> acc lor (1 lsl i)) 0 a in
-        let count0 = multiset_count no size0 and count1 = multiset_count no size1 in
-        let block = count0 * count1 in
-        let p =
-          {
-            team;
-            t0bits = bits procs0;
-            t1bits = bits procs1;
-            size0;
-            size1;
-            procs0;
-            procs1;
-            count1;
-            block;
-            start = !start;
-          }
-        in
-        start := !start + block;
+        let p = make_part ~no ~start:!start team in
+        start := !start + p.block;
         p)
   in
   let per_u = !start in
@@ -250,7 +239,6 @@ let compile ?obs (ty : Objtype.t) ~n =
       t_parent = Sched.Trie.parent trie;
       t_proc = Sched.Trie.proc trie;
       t_first = Sched.Trie.first trie;
-      t_depth = Sched.Trie.depth trie;
       parts;
       per_u;
       total = nv * per_u;
@@ -304,11 +292,9 @@ type scratch = {
   rec_mask : int array; (* per final value: bitmask of first-processes *)
   key_mask : int array; (* per (proc, resp, final) key: same bitmask *)
   touched : int array; (* stack of keys with a nonzero mask *)
-  path : int array; (* Tables mode: one schedule's processes, root first *)
   ops : int array; (* current candidate's op per process *)
   ops0 : int array; (* T_0's sorted assignment (first size0 slots used) *)
   ops1 : int array; (* T_1's sorted assignment *)
-  proc_resp : int array; (* Tables mode: last response per process *)
   memo : entry Memo.t; (* (u, ops, condition) -> entry *)
   watch : entry list array; (* per cell: entries whose masks read it *)
   cur_cells : int array; (* bitset buffer for the eval in progress *)
@@ -322,7 +308,7 @@ type scratch = {
   mutable vclock : int; (* issues entry versions; never reissued, so a
                            rolled-back version can't collide with a later
                            re-evaluation's in the verdict cache *)
-  mutable last : entry; (* entry behind the most recent Trie classification *)
+  mutable last : entry; (* entry behind the most recent classification *)
   (* Rank-indexed verdict cache, allocated at the first patch: slot
      [cond * total + rank] remembers which entry (at which version)
      classified that candidate and what it answered, so a re-scan after
@@ -350,11 +336,9 @@ let scratch k =
     rec_mask = Array.make k.nv 0;
     key_mask = Array.make (k.n * k.nr * k.nv) 0;
     touched = Array.make (k.n * k.nr * k.nv) 0;
-    path = Array.make k.n 0;
     ops = Array.make k.n 0;
     ops0 = Array.make k.n 0;
     ops1 = Array.make k.n 0;
-    proc_resp = Array.make k.n 0;
     memo = Memo.create 16;
     watch = Array.make (k.nv * k.no) [];
     cur_cells = Array.make (((k.nv * k.no) + 31) / 32) 0;
@@ -386,13 +370,9 @@ let memo_code k (s : scratch) cond ~u =
   (!c * k.nv) + u
 
 (* ------------------------------------------------------------------ *)
-(* Evaluation: fold every schedule for the current (u, s.ops).
-
-   Trie mode: node values extend their parent's by one transition, so the
-   whole set costs one transition per node.  Tables mode deliberately
-   refolds each schedule end to end (rebuilding its process path by
-   walking parents) — same flat tables, no prefix sharing — to isolate
-   the trie's contribution in the e18 ablation. *)
+(* Evaluation: fold every schedule for the current (u, s.ops).  Node
+   values extend their parent's by one transition, so the whole set costs
+   one transition per node. *)
 
 let eval_rec_trie k s ~u =
   Array.fill s.rec_mask 0 k.nv 0;
@@ -411,22 +391,6 @@ let eval_rec_trie k s ~u =
       s.value.(i) <- v;
       s.rec_mask.(v) <- s.rec_mask.(v) lor (1 lsl k.t_first.(i))
     done
-
-let eval_rec_tables k s ~u =
-  Array.fill s.rec_mask 0 k.nv 0;
-  for node = 1 to k.t_nodes - 1 do
-    let d = k.t_depth.(node) in
-    let a = ref node in
-    for j = d - 1 downto 0 do
-      s.path.(j) <- k.t_proc.(!a);
-      a := k.t_parent.(!a)
-    done;
-    let v = ref u in
-    for j = 0 to d - 1 do
-      v := k.next.((!v * k.no) + s.ops.(s.path.(j)))
-    done;
-    s.rec_mask.(!v) <- s.rec_mask.(!v) lor (1 lsl k.t_first.(node))
-  done
 
 (* Discerning needs, per schedule, the set of (process, its response,
    final value) triples.  In the trie each node's schedule is its root
@@ -466,35 +430,6 @@ let eval_disc_trie k s ~u =
   done;
   !nt
 
-let eval_disc_tables k s ~u =
-  let nt = ref 0 in
-  for node = 1 to k.t_nodes - 1 do
-    let d = k.t_depth.(node) in
-    let a = ref node in
-    for j = d - 1 downto 0 do
-      s.path.(j) <- k.t_proc.(!a);
-      a := k.t_parent.(!a)
-    done;
-    let v = ref u in
-    for j = 0 to d - 1 do
-      let p = s.path.(j) in
-      let idx = (!v * k.no) + s.ops.(p) in
-      s.proc_resp.(p) <- k.resp.(idx);
-      v := k.next.(idx)
-    done;
-    let fbit = 1 lsl k.t_first.(node) and f = !v in
-    for j = 0 to d - 1 do
-      let p = s.path.(j) in
-      let key = (((p * k.nr) + s.proc_resp.(p)) * k.nv) + f in
-      if s.key_mask.(key) = 0 then begin
-        s.touched.(!nt) <- key;
-        incr nt
-      end;
-      s.key_mask.(key) <- s.key_mask.(key) lor fbit
-    done
-  done;
-  !nt
-
 let reset_keys s nt =
   for i = 0 to nt - 1 do
     s.key_mask.(s.touched.(i)) <- 0
@@ -523,16 +458,6 @@ let classify_rec k (masks : int array) part ~u =
 (* Discerning (reference [check_discerning_fast]): every
    (process, response, final value) triple must be produced only by
    schedules whose first process is on a single team. *)
-let classify_disc_scratch s nt part =
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < nt do
-    let m = s.key_mask.(s.touched.(!i)) in
-    if m land part.t0bits <> 0 && m land part.t1bits <> 0 then ok := false;
-    incr i
-  done;
-  !ok
-
 let classify_disc_masks (masks : int array) part =
   let ok = ref true in
   let i = ref 0 in
@@ -569,77 +494,63 @@ let register_watch k (s : scratch) (e : entry) =
   done
 
 (* Decide the candidate currently materialized in [s.ops] against
-   [part], evaluating or reusing the (u, ops) memo as the mode allows. *)
-let check_current ~mode k s cond ~u part =
-  match mode with
-  | Reference -> invalid_arg "Kernel: mode Reference has no compiled path (use Decide)"
-  | Tables -> (
-      s.n_evals <- s.n_evals + 1;
+   [part], evaluating or reusing the (u, ops) memo. *)
+let check_current k s cond ~u part =
+  let code = memo_code k s cond ~u in
+  match Memo.find_opt s.memo code with
+  | Some e when e.valid -> (
+      s.n_pruned <- s.n_pruned + 1;
+      if s.patches_seen > 0 then s.n_reused <- s.n_reused + 1;
+      s.last <- e;
       match cond with
-      | Recording ->
-          eval_rec_tables k s ~u;
-          classify_rec k s.rec_mask part ~u
-      | Discerning ->
-          let nt = eval_disc_tables k s ~u in
-          let ok = classify_disc_scratch s nt part in
-          reset_keys s nt;
-          ok)
-  | Trie -> (
-      let code = memo_code k s cond ~u in
-      match Memo.find_opt s.memo code with
-      | Some e when e.valid -> (
-          s.n_pruned <- s.n_pruned + 1;
-          if s.patches_seen > 0 then s.n_reused <- s.n_reused + 1;
-          s.last <- e;
-          match cond with
-          | Recording -> classify_rec k e.masks part ~u
-          | Discerning -> classify_disc_masks e.masks part)
-      | stale ->
-          s.n_evals <- s.n_evals + 1;
-          if s.track then Array.fill s.cur_cells 0 s.cell_words 0;
-          let masks =
-            match cond with
-            | Recording ->
-                eval_rec_trie k s ~u;
-                Array.sub s.rec_mask 0 k.nv
-            | Discerning ->
-                let nt = eval_disc_trie k s ~u in
-                let m = Array.init nt (fun i -> s.key_mask.(s.touched.(i))) in
-                reset_keys s nt;
-                m
-          in
-          let cells = if s.track then Array.copy s.cur_cells else [||] in
-          let e =
-            match stale with
-            | Some e when e.masks = masks ->
-                (* The edit did not change this evaluation's masks, so
-                   every verdict derived from them stands: revalidate at
-                   the *old* version and the rank verdict cache serves
-                   all covering candidates again without
-                   re-classification.  (Verdicts depend only on the
-                   masks; the read-cell set may still differ.) *)
+      | Recording -> classify_rec k e.masks part ~u
+      | Discerning -> classify_disc_masks e.masks part)
+  | stale ->
+      s.n_evals <- s.n_evals + 1;
+      if s.track then Array.fill s.cur_cells 0 s.cell_words 0;
+      let masks =
+        match cond with
+        | Recording ->
+            eval_rec_trie k s ~u;
+            Array.sub s.rec_mask 0 k.nv
+        | Discerning ->
+            let nt = eval_disc_trie k s ~u in
+            let m = Array.init nt (fun i -> s.key_mask.(s.touched.(i))) in
+            reset_keys s nt;
+            m
+      in
+      let cells = if s.track then Array.copy s.cur_cells else [||] in
+      let e =
+        match stale with
+        | Some e when e.masks = masks ->
+            (* The edit did not change this evaluation's masks, so
+               every verdict derived from them stands: revalidate at
+               the *old* version and the rank verdict cache serves
+               all covering candidates again without
+               re-classification.  (Verdicts depend only on the
+               masks; the read-cell set may still differ.) *)
+            e.cells <- cells;
+            e.valid <- true;
+            e
+        | stale ->
+            s.vclock <- s.vclock + 1;
+            (match stale with
+            | Some e ->
+                e.masks <- masks;
                 e.cells <- cells;
                 e.valid <- true;
+                e.version <- s.vclock;
                 e
-            | stale ->
-                s.vclock <- s.vclock + 1;
-                (match stale with
-                | Some e ->
-                    e.masks <- masks;
-                    e.cells <- cells;
-                    e.valid <- true;
-                    e.version <- s.vclock;
-                    e
-                | None ->
-                    let e = { masks; cells; valid = true; version = s.vclock } in
-                    Memo.add s.memo code e;
-                    e)
-          in
-          if s.track then register_watch k s e;
-          s.last <- e;
-          (match cond with
-          | Recording -> classify_rec k e.masks part ~u
-          | Discerning -> classify_disc_masks e.masks part))
+            | None ->
+                let e = { masks; cells; valid = true; version = s.vclock } in
+                Memo.add s.memo code e;
+                e)
+      in
+      if s.track then register_watch k s e;
+      s.last <- e;
+      (match cond with
+      | Recording -> classify_rec k e.masks part ~u
+      | Discerning -> classify_disc_masks e.masks part)
 
 (* ------------------------------------------------------------------ *)
 (* Patching.  A patch rewrites one transition-table cell in place and
@@ -841,14 +752,18 @@ let fill_ops1 s part =
     s.ops.(part.procs1.(j)) <- s.ops1.(j)
   done
 
-let candidate k rank =
-  if rank < 0 || rank >= k.total then invalid_arg "Kernel.candidate: rank out of range";
-  let u = rank / k.per_u and rem = rank mod k.per_u in
+(* Index of the partition block holding offset [rem] of a value block. *)
+let part_index k rem =
   let pi = ref 0 in
   while k.parts.(!pi).start + k.parts.(!pi).block <= rem do
     incr pi
   done;
-  let part = k.parts.(!pi) in
+  !pi
+
+let candidate k rank =
+  if rank < 0 || rank >= k.total then invalid_arg "Kernel.candidate: rank out of range";
+  let u = rank / k.per_u and rem = rank mod k.per_u in
+  let part = k.parts.(part_index k rem) in
   let i = rem - part.start in
   let ops0 = Array.make (max part.size0 1) 0 and ops1 = Array.make (max part.size1 1) 0 in
   unrank_sorted ~m:k.no ~k:part.size0 (i / part.count1) ops0;
@@ -864,10 +779,7 @@ let candidate k rank =
 
 exception Stopped
 
-let search_range ?(mode = Trie) k s cond ~lo ~hi ~stop =
-  (match mode with
-  | Reference -> invalid_arg "Kernel.search_range: mode Reference has no compiled path"
-  | Tables | Trie -> ());
+let search_range k s cond ~lo ~hi ~stop =
   let hi = min hi k.total and lo = max lo 0 in
   if lo >= hi then (None, 0)
   else begin
@@ -877,18 +789,14 @@ let search_range ?(mode = Trie) k s cond ~lo ~hi ~stop =
     let u = ref (lo / k.per_u) in
     let rem = ref (lo mod k.per_u) in
     (* The rank-indexed verdict cache (live once the scratch has been
-       patched, Trie mode only): a candidate whose entry survived the
-       patches since it was classified is answered by one validity
-       check, no memo probe and no re-classification. *)
-    let vact = mode = Trie && s.v_version <> [||] in
+       patched): a candidate whose entry survived the patches since it
+       was classified is answered by one validity check, no memo probe
+       and no re-classification. *)
+    let vact = s.v_version <> [||] in
     let vbase = (match cond with Recording -> 0 | Discerning -> 1) * k.total in
     (try
        while !witness = None && !rank < hi do
-         (* locate the partition block containing [rem] *)
-         let pi = ref 0 in
-         while k.parts.(!pi).start + k.parts.(!pi).block <= !rem do
-           incr pi
-         done;
+         let pi = ref (part_index k !rem) in
          while !witness = None && !rank < hi && !pi < nparts do
            let part = k.parts.(!pi) in
            let i = !rem - part.start in
@@ -909,7 +817,7 @@ let search_range ?(mode = Trie) k s cond ~lo ~hi ~stop =
                    Bytes.unsafe_get s.v_bool vi = '\001'
                  end
                  else begin
-                   let ok = check_current ~mode k s cond ~u:!u part in
+                   let ok = check_current k s cond ~u:!u part in
                    let e = s.last in
                    s.v_entry.(vi) <- e;
                    s.v_version.(vi) <- e.version;
@@ -917,7 +825,7 @@ let search_range ?(mode = Trie) k s cond ~lo ~hi ~stop =
                    ok
                  end
                end
-               else check_current ~mode k s cond ~u:!u part
+               else check_current k s cond ~u:!u part
              in
              if verdict then witness := Some !rank
              else begin
@@ -945,104 +853,35 @@ let search_range ?(mode = Trie) k s cond ~lo ~hi ~stop =
     (!witness, !checked)
   end
 
-(* Re-verify one rank (through the verdict cache when it is live); the
-   caller flushes the tallies. *)
-let check_rank ~mode k s cond rank =
-  let u = rank / k.per_u and rem = rank mod k.per_u in
-  let pi = ref 0 in
-  while k.parts.(!pi).start + k.parts.(!pi).block <= rem do
-    incr pi
-  done;
-  let part = k.parts.(!pi) in
-  let vact = mode = Trie && s.v_version <> [||] in
-  let vi = ((match cond with Recording -> 0 | Discerning -> 1) * k.total) + rank in
-  if
-    vact
-    &&
-    let e = s.v_entry.(vi) in
-    e.valid && s.v_version.(vi) = e.version
-  then begin
-    s.n_pruned <- s.n_pruned + 1;
-    s.n_reused <- s.n_reused + 1;
-    Bytes.unsafe_get s.v_bool vi = '\001'
-  end
-  else begin
-    let i = rem - part.start in
-    unrank_sorted ~m:k.no ~k:part.size0 (i / part.count1) s.ops0;
-    unrank_sorted ~m:k.no ~k:part.size1 (i mod part.count1) s.ops1;
-    fill_ops s part;
-    let ok = check_current ~mode k s cond ~u part in
-    if vact then begin
-      let e = s.last in
-      s.v_entry.(vi) <- e;
-      s.v_version.(vi) <- e.version;
-      Bytes.set s.v_bool vi (if ok then '\001' else '\000')
-    end;
-    ok
-  end
-
 (* Existence of a witness, any rank.  Unlike [search_range] (which the
    minimal-certificate searches need), existence is free to check the
    previous scan's witness first: a patch rarely breaks it, so the
-   common case is one verdict-cache probe (or one re-evaluation)
-   instead of a scan of the whole prefix below the witness — the
+   common case is a one-rank scan (one verdict-cache probe, or one
+   re-evaluation) instead of a scan of the whole prefix below it — the
    decision point [Decide.holds] sits on the synthesizer's hot path. *)
-let exists ?(mode = Trie) k s cond =
-  (match mode with
-  | Reference -> invalid_arg "Kernel.exists: mode Reference has no compiled path"
-  | Tables | Trie -> ());
+let exists k s cond =
   let slot = match cond with Recording -> 0 | Discerning -> 1 in
   let h = s.hint.(slot) in
-  if h >= 0 && check_rank ~mode k s cond h then begin
-    flush k s;
-    true
-  end
-  else
-    match search_range ~mode k s cond ~lo:0 ~hi:k.total ~stop:(fun _ -> false) with
-    | Some r, _ ->
-        s.hint.(slot) <- r;
-        true
-    | None, _ ->
-        s.hint.(slot) <- -1;
-        false
+  let scan ~lo ~hi = fst (search_range k s cond ~lo ~hi ~stop:(fun _ -> false)) in
+  (h >= 0 && scan ~lo:h ~hi:(h + 1) <> None)
+  ||
+  match scan ~lo:0 ~hi:k.total with
+  | Some r ->
+      s.hint.(slot) <- r;
+      true
+  | None ->
+      s.hint.(slot) <- -1;
+      false
 
 (* ------------------------------------------------------------------ *)
-(* Single-candidate check, for the fixed-partition search.  Builds a
-   throwaway partition record (rank fields unused) and reuses the
-   scratch memo across calls. *)
+(* Single-candidate check, for the fixed-partition search: a throwaway
+   partition record (rank fields unused) and the scratch memo reused
+   across calls. *)
 
-let check ?(mode = Trie) k s cond ~u ~team ~ops =
-  (match mode with
-  | Reference -> invalid_arg "Kernel.check: mode Reference has no compiled path"
-  | Tables | Trie -> ());
+let check k s cond ~u ~team ~ops =
   if Array.length team <> k.n || Array.length ops <> k.n then
     invalid_arg "Kernel.check: team/ops arity mismatch";
   Array.blit ops 0 s.ops 0 k.n;
-  let t0bits = ref 0 and t1bits = ref 0 and size0 = ref 0 and size1 = ref 0 in
-  for i = 0 to k.n - 1 do
-    if team.(i) then begin
-      t1bits := !t1bits lor (1 lsl i);
-      incr size1
-    end
-    else begin
-      t0bits := !t0bits lor (1 lsl i);
-      incr size0
-    end
-  done;
-  let part =
-    {
-      team;
-      t0bits = !t0bits;
-      t1bits = !t1bits;
-      size0 = !size0;
-      size1 = !size1;
-      procs0 = [||];
-      procs1 = [||];
-      count1 = 0;
-      block = 0;
-      start = 0;
-    }
-  in
-  let ok = check_current ~mode k s cond ~u part in
+  let ok = check_current k s cond ~u (make_part ~no:k.no ~start:0 team) in
   flush k s;
   ok

@@ -48,18 +48,18 @@ type condition = Discerning | Recording
 (** Re-exported by [Decide]; defined here so the kernel does not depend
     on it. *)
 
-(** Which implementation decides a query.  [Trie] (the default
-    everywhere) is the full kernel; [Tables] uses the flat transition
-    tables but refolds every schedule end to end per candidate — the
-    ablation point isolating the trie's contribution; [Reference] is the
-    original closure-and-[Hashtbl] checker in [Decide], kept as the
-    differential-testing oracle.  All three return bit-identical
-    certificates. *)
-type mode = Reference | Tables | Trie
+(** Which implementation decides a query: [Trie] (the default
+    everywhere) is this compiled kernel; [Reference] is the original
+    closure-and-[Hashtbl] checker in [Decide], kept as the
+    differential-testing oracle.  Both return bit-identical
+    certificates.  The kernel's own entry points always run [Trie]; the
+    choice is made by [Decide.search] and the engine. *)
+type mode = Reference | Trie
 
 val mode_of_string : string -> (mode, [ `Msg of string ]) result
-(** ["on"] / ["trie"] is [Trie], ["tables"] is [Tables], ["off"] /
-    ["reference"] is [Reference] — the CLI's [--kernel] values. *)
+(** ["on"] / ["trie"] is [Trie], ["off"] / ["reference"] is [Reference]
+    — the CLI's [--kernel] values.  Anything else is an [Error] naming
+    the accepted values. *)
 
 val mode_to_string : mode -> string
 
@@ -114,7 +114,6 @@ val retarget : ?obs:Obs.t -> t -> scratch -> Objtype.t -> unit
     num_responses)] differ from the compiled type's. *)
 
 val search_range :
-  ?mode:mode ->
   t ->
   scratch ->
   condition ->
@@ -128,23 +127,18 @@ val search_range :
     checked.  [stop] is polled with the current rank before each
     candidate; answering [true] abandons the scan (returning [None] for
     the witness) — the hook parallel workers use for deadline polls and
-    minimum-rank pruning.  [mode] must be [Tables] or [Trie]; the
-    reference path lives in [Decide].
-    @raise Invalid_argument on [mode = Reference]. *)
+    minimum-rank pruning. *)
 
-val exists : ?mode:mode -> t -> scratch -> condition -> bool
+val exists : t -> scratch -> condition -> bool
 (** Does {e any} candidate witness the condition?  Same verdict as
     [search_range ~lo:0 ~hi:(total k)] being [Some _], but free to
     short-circuit: the scratch remembers the last witnessing rank per
     condition and re-verifies it first (through the verdict cache), so
     on a patched kernel whose witness survived the edit this costs one
     probe instead of a scan of the prefix below the witness.  The hot
-    decision point of the incremental synthesizer ([Decide.holds]).
-    [mode] must be [Tables] or [Trie].
-    @raise Invalid_argument on [mode = Reference]. *)
+    decision point of the incremental synthesizer ([Decide.holds]). *)
 
 val check :
-  ?mode:mode ->
   t ->
   scratch ->
   condition ->
@@ -154,8 +148,8 @@ val check :
   bool
 (** Decide one explicit candidate (used by the fixed-partition search).
     Equivalent to [Decide.check cond t (Sched.at_most_once ~nprocs:n)]
-    on the same candidate.  @raise Invalid_argument on
-    [mode = Reference]. *)
+    on the same candidate.  @raise Invalid_argument when [team] or
+    [ops] does not have [n] entries. *)
 
 (** {2 Incremental patching}
 

@@ -34,7 +34,7 @@ let run ?obs ?(stride = 32) ?(throttle_us = 0) ?(crash_after = 0)
   for n = 2 to cap do
     match kernel with
     | Kernel.Reference -> ignore (Engine.Cache.scheds cache ~n)
-    | Kernel.Tables | Kernel.Trie -> Kernel.warm_trie ?obs ~nprocs:n ()
+    | Kernel.Trie -> Kernel.warm_trie ?obs ~nprocs:n ()
   done;
   let send msg = Frame.write fd (Api.Worker.msg_to_string msg) in
   let recv () =

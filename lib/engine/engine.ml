@@ -240,7 +240,7 @@ let search_fanout ?obs ?deadline ?supervisor pool scheds condition t ~n =
    minimal-rank race gives the same sequential-first-witness guarantee.
    The kernel is compiled on the submitting domain, so workers share the
    (immutable) tables and trie and only their scratches are private. *)
-let search_fanout_kernel ?obs ?deadline ?supervisor ~mode pool condition t ~n =
+let search_fanout_kernel ?obs ?deadline ?supervisor pool condition t ~n =
   let k = Kernel.compile ?obs t ~n in
   let counter = candidates_counter obs in
   let label = search_label condition t ~n in
@@ -262,9 +262,7 @@ let search_fanout_kernel ?obs ?deadline ?supervisor ~mode pool condition t ~n =
           end
           else rank >= Atomic.get best
         in
-        let witness, checked =
-          Kernel.search_range ~mode k s condition ~lo ~hi ~stop
-        in
+        let witness, checked = Kernel.search_range k s condition ~lo ~hi ~stop in
         count_checked counter checked;
         match witness with
         | Some r ->
@@ -282,7 +280,7 @@ let search_fanout_kernel ?obs ?deadline ?supervisor ~mode pool condition t ~n =
       let u, team, ops = Kernel.candidate k b in
       Found (Certificate.make ~objtype:t ~initial:u ~team ~ops)
 
-let search_sequential_kernel ?obs ~deadline ~mode condition t ~n =
+let search_sequential_kernel ?obs ~deadline condition t ~n =
   let k = Kernel.compile ?obs t ~n in
   let s = Kernel.scratch k in
   let counter = candidates_counter obs in
@@ -294,9 +292,7 @@ let search_sequential_kernel ?obs ~deadline ~mode condition t ~n =
     end
     else false
   in
-  let witness, checked =
-    Kernel.search_range ~mode k s condition ~lo:0 ~hi:(Kernel.total k) ~stop
-  in
+  let witness, checked = Kernel.search_range k s condition ~lo:0 ~hi:(Kernel.total k) ~stop in
   count_checked counter checked;
   match witness with
   | Some r ->
@@ -348,9 +344,9 @@ let search_uncached ?scheds ?obs ?deadline ?supervisor ?(kernel = Kernel.Trie) p
               | None -> Refuted)
           | _ -> search_sequential ?obs ~deadline scheds condition t ~n
         else search_fanout ?obs ?deadline ?supervisor pool scheds condition t ~n)
-    | mode ->
-        if plain then search_sequential_kernel ?obs ~deadline ~mode condition t ~n
-        else search_fanout_kernel ?obs ?deadline ?supervisor ~mode pool condition t ~n
+    | Kernel.Trie ->
+        if plain then search_sequential_kernel ?obs ~deadline condition t ~n
+        else search_fanout_kernel ?obs ?deadline ?supervisor pool condition t ~n
 
 let outcome_of_option = function Some c -> Found c | None -> Refuted
 
@@ -510,9 +506,9 @@ let census_levels ?obs cache ~kernel ~cap ty =
           | Kernel.Reference ->
               let scheds = Cache.scheds cache ~n in
               Option.is_some (Decide.search ~scheds ~mode:Kernel.Reference condition ty ~n)
-          | mode ->
+          | Kernel.Trie ->
               let slot = census_kernel ?obs ty ~n in
-              Decide.holds ~mode slot.k slot.s condition
+              Decide.holds slot.k slot.s condition
         in
         if found then loop (n + 1) else n - 1
     in
@@ -685,7 +681,7 @@ let census ?cache ?obs ?supervisor ?checkpoint ?(resume = false) ?(durable = fal
   for n = 2 to cap do
     match kernel with
     | Kernel.Reference -> ignore (Cache.scheds cache ~n)
-    | Kernel.Tables | Kernel.Trie -> Kernel.warm_trie ?obs ~nprocs:n ()
+    | Kernel.Trie -> Kernel.warm_trie ?obs ~nprocs:n ()
   done;
   let levels = Array.make ranks (0, 0) in
   let finished = Array.make ranks false in

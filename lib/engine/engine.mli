@@ -149,8 +149,8 @@ val search_within :
     unchecked ranges mean "no witness" cannot honestly be claimed).
 
     [config.kernel] selects the decider implementation (see
-    {!Kernel.mode}).  The kernel modes fan the compiled kernel's dense
-    rank space out over the pool — no candidate materialization — and
+    {!Kernel.mode}).  [Trie] fans the compiled kernel's dense rank space
+    out over the pool — no candidate materialization — and
     return bit-identical certificates to the reference at any job count
     (pinned by parity tests at jobs 1/2/4). *)
 
@@ -228,8 +228,8 @@ val census_levels :
 (** One census table's truncated [(discerning, recording)] levels — the
     sweep {!census} runs per table, exposed so a distributed-census
     worker process ([lib/dist]) decides its leased rank range exactly
-    like the in-process sweep decides a chunk.  The compiled modes
-    decide on the calling domain's reused kernels (one per process
+    like the in-process sweep decides a chunk.  [Trie] decides on the
+    calling domain's reused kernels (one per process
     count, {!Kernel.retarget}ed to [ty]), with the verdicts and
     [decide.*] counts of a fresh [Decide.search] per level; [Reference]
     replays [cache]'s shared schedule sets.  The kernels are per domain,

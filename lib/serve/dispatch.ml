@@ -279,9 +279,9 @@ let run_synth env ~space ~target ~seed ~iterations ~restart_every ~portfolio
 
 let run env (req : Api.Request.t) =
   let checked f =
-    match Option.map Api.Config.validate (Api.Request.config req) with
-    | Some (Error msg) -> Api.Response.error msg
-    | Some (Ok ()) | None -> (
+    match Api.Request.validate req with
+    | Error msg -> Api.Response.error msg
+    | Ok () -> (
         try f () with
         | (Fsio.Io_error _ | Fsio.Corrupt _) as e ->
             (* Durable storage failed mid-request: the store has already

@@ -27,6 +27,9 @@ type space = {
   num_responses : int;  (** responses of the RMW operations; at least 2 *)
 }
 
+val check_space : space -> unit
+(** @raise Invalid_argument naming the first dimension below 2. *)
+
 type genome
 (** A candidate transition table in a given {!space}. *)
 

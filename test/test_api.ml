@@ -88,10 +88,7 @@ let random_config seed =
     deadline =
       opt (fun () -> float_of_int (Random.State.int rng 10_000 - 100) /. 64.0);
     kernel =
-      (match Random.State.int rng 3 with
-      | 0 -> Kernel.Reference
-      | 1 -> Kernel.Tables
-      | _ -> Kernel.Trie);
+      (if Random.State.bool rng then Kernel.Reference else Kernel.Trie);
     retries = opt (fun () -> 1 + Random.State.int rng 5);
     heartbeat = opt (fun () -> float_of_int (1 + Random.State.int rng 10_000) /. 128.0);
     chaos_rate = opt (fun () -> float_of_int (Random.State.int rng 1001) /. 1000.0);
@@ -368,6 +365,23 @@ let test_config_validate () =
     (bad { Api.Config.default with chaos_rate = Some 1.5 });
   check_bool "chaos attempts 0 rejected" true
     (bad { Api.Config.default with chaos_attempts = 0 });
+  (* The kernel field decodes both spellings of both modes; anything
+     else is an error naming the accepted values. *)
+  let with_kernel k =
+    match Api.Config.to_json Api.Config.default with
+    | Wire.Obj fields ->
+        let set (f, v) = (f, if f = "kernel" then Wire.String k else v) in
+        Api.Config.of_json (Wire.Obj (List.map set fields))
+        |> Result.map (fun c -> c.Api.Config.kernel)
+    | _ -> Alcotest.fail "config is not an object"
+  in
+  List.iter
+    (fun (k, mode) -> check_bool ("kernel " ^ k) true (with_kernel k = Ok mode))
+    [ ("on", Kernel.Trie); ("trie", Kernel.Trie); ("off", Kernel.Reference);
+      ("reference", Kernel.Reference) ];
+  check_bool "kernel tables rejected" true
+    (with_kernel "tables"
+    = Error {|unknown kernel mode "tables" (expected on|trie|off|reference)|});
   check_bool "supervision only when asked" false
     (Api.Config.wants_supervision Api.Config.default);
   check_bool "retries ask for supervision" true

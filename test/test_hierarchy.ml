@@ -293,79 +293,6 @@ let test_decider_rejects_small_n () =
        false
      with Invalid_argument _ -> true)
 
-let test_parallel_search_agrees () =
-  (* The domain-parallel decider must agree with the serial one on both
-     positive and negative instances (forced onto the multi-domain code
-     path even on single-core hosts). *)
-  List.iter
-    (fun (ty, n) ->
-      List.iter
-        (fun condition ->
-          let serial = Decide.search condition ty ~n in
-          let par = Decide.search_parallel ~domains:3 condition ty ~n in
-          check_bool
-            (Printf.sprintf "%s n=%d agree" ty.Objtype.name n)
-            (Option.is_some serial) (Option.is_some par);
-          (* any parallel witness must replay-validate *)
-          match (condition, par) with
-          | Decide.Recording, Some c -> check_bool "valid" true (Certificate.check_recording c)
-          | Decide.Discerning, Some c -> check_bool "valid" true (Certificate.check_discerning c)
-          | _, None -> ())
-        [ Decide.Discerning; Decide.Recording ])
-    [
-      (Gallery.test_and_set, 2);
-      (Gallery.test_and_set, 3);
-      (Gallery.team_ladder ~cap:2, 3);
-      (Gallery.team_ladder ~cap:2, 4);
-      (Gallery.x4_witness, 3);
-    ];
-  check_bool "bad domain count rejected" true
-    (try
-       ignore (Decide.search_parallel ~domains:0 Decide.Recording Gallery.test_and_set ~n:2);
-       false
-     with Invalid_argument _ -> true)
-
-let test_parallel_search_deterministic () =
-  (* Not just *a* witness: the parallel decider must return *the*
-     sequential first witness, at every domain count.  The types below
-     have several witnessing certificates (so a first-CAS-wins race would
-     be visible), and repetition gives interleavings a chance to differ. *)
-  let cert_equal (a : Certificate.t) (b : Certificate.t) =
-    a.Certificate.initial = b.Certificate.initial
-    && a.Certificate.team = b.Certificate.team
-    && a.Certificate.ops = b.Certificate.ops
-  in
-  List.iter
-    (fun (ty, n) ->
-      List.iter
-        (fun condition ->
-          match Decide.search condition ty ~n with
-          | None -> ()
-          | Some serial ->
-              List.iter
-                (fun domains ->
-                  for round = 1 to 5 do
-                    match Decide.search_parallel ~domains condition ty ~n with
-                    | None ->
-                        Alcotest.failf "%s n=%d domains=%d: witness lost"
-                          ty.Objtype.name n domains
-                    | Some par ->
-                        check_bool
-                          (Printf.sprintf
-                             "%s n=%d domains=%d round=%d: sequential first witness"
-                             ty.Objtype.name n domains round)
-                          true (cert_equal serial par)
-                  done)
-                [ 1; 4 ])
-        [ Decide.Discerning; Decide.Recording ])
-    [
-      (Gallery.test_and_set, 2);
-      (Gallery.team_ladder ~cap:2, 2);
-      (Gallery.team_ladder ~cap:3, 3);
-      (Gallery.x4_witness, 2);
-      (Gallery.x4_witness, 3);
-    ]
-
 let test_certificates_seq () =
   (* All certificates stream lazily; the first equals the search result. *)
   let ty = Gallery.team_ladder ~cap:2 in
@@ -525,7 +452,7 @@ let prop_decider_certificates_replay =
 
 let prop_kernel_matches_reference =
   (* The differential pin for the compiled kernel: on random small types
-     (up to 4 values, 3 RMW operations) all three modes agree with the
+     (up to 4 values, 3 RMW operations) the trie kernel agrees with the
      reference checkers on is_discerning / is_recording at n = 2 and 3,
      and when a witness exists the certificates are byte-identical. *)
   let space = { Synth.num_values = 4; num_rws = 3; num_responses = 3 } in
@@ -553,9 +480,8 @@ let prop_kernel_matches_reference =
           List.for_all
             (fun condition ->
               let reference = Decide.search ~mode:Kernel.Reference condition ty ~n in
-              let tables = Decide.search ~mode:Kernel.Tables condition ty ~n in
               let trie = Decide.search ~mode:Kernel.Trie condition ty ~n in
-              cert_equal reference tables && cert_equal reference trie)
+              cert_equal reference trie)
             [ Decide.Discerning; Decide.Recording ])
         [ 2; 3 ])
 
@@ -563,10 +489,10 @@ let prop_patched_kernel_matches_fresh_compile =
   (* The incremental-patching contract (the synthesizer's warm-start
      search leans on it): after any LIFO patch/unpatch sequence, the
      patched kernel answers every query byte-identically to a fresh
-     compile of the mutated type — both conditions, Tables and Trie, at
-     n = 2 and 3.  The shadow table tracks what the kernel's cells must
-     currently hold; interrogations mid-sequence exercise memo churn
-     (entries invalidated by one edit, revalidated by its revert). *)
+     compile of the mutated type — both conditions, at n = 2 and 3.  The
+     shadow table tracks what the kernel's cells must currently hold;
+     interrogations mid-sequence exercise memo churn (entries invalidated
+     by one edit, revalidated by its revert). *)
   let arbitrary = QCheck.make ~print:string_of_int QCheck.Gen.int in
   QCheck.Test.make ~name:"patched kernel matches a fresh compile" ~count:40 arbitrary
     (fun case_seed ->
@@ -600,15 +526,10 @@ let prop_patched_kernel_matches_fresh_compile =
             let fs = Kernel.scratch fresh in
             List.for_all
               (fun cond ->
+                let stop _ = false in
                 Kernel.exists k s cond = Kernel.exists fresh fs cond
-                && List.for_all
-                     (fun mode ->
-                       let stop _ = false in
-                       Kernel.search_range ~mode k s cond ~lo:0
-                         ~hi:(Kernel.total k) ~stop
-                       = Kernel.search_range ~mode fresh fs cond ~lo:0
-                           ~hi:(Kernel.total fresh) ~stop)
-                     [ Kernel.Tables; Kernel.Trie ])
+                && Kernel.search_range k s cond ~lo:0 ~hi:(Kernel.total k) ~stop
+                   = Kernel.search_range fresh fs cond ~lo:0 ~hi:(Kernel.total fresh) ~stop)
               [ Kernel.Discerning; Kernel.Recording ]
           in
           let ok = ref true in
@@ -659,18 +580,14 @@ let prop_retargeted_kernel_matches_fresh_compile =
           (fun name -> Obs.Metrics.Counter.value (Obs.counter obs name))
           [ "decide.kernel_evals"; "decide.partitions_pruned" ]
       in
-      (* One fixed interrogation, per condition: exists, both compiled
-         full scans, and single-candidate checks at the probe ranks. *)
+      (* One fixed interrogation, per condition: exists, a full scan, and
+         single-candidate checks at the probe ranks. *)
       let answers k s probes =
         List.map
           (fun cond ->
             let exists = Kernel.exists k s cond in
-            let scans =
-              List.map
-                (fun mode ->
-                  Kernel.search_range ~mode k s cond ~lo:0 ~hi:(Kernel.total k)
-                    ~stop:(fun _ -> false))
-                [ Kernel.Tables; Kernel.Trie ]
+            let scan =
+              Kernel.search_range k s cond ~lo:0 ~hi:(Kernel.total k) ~stop:(fun _ -> false)
             in
             let checks =
               List.map
@@ -679,7 +596,7 @@ let prop_retargeted_kernel_matches_fresh_compile =
                   Kernel.check k s cond ~u ~team ~ops)
                 probes
             in
-            (exists, scans, checks))
+            (exists, scan, checks))
           [ Kernel.Discerning; Kernel.Recording ]
       in
       List.for_all
@@ -764,15 +681,14 @@ let suite =
     Alcotest.test_case "closed-form counts match enumeration" `Quick test_count_closed_form;
     Alcotest.test_case "kernel rank/unrank walks the reference enumeration" `Quick
       test_kernel_rank_enumeration;
+    Alcotest.test_case "retarget rejects a different shape, voids tokens" `Quick
+      test_retarget_rejects;
     Alcotest.test_case "decider rejects n < 2" `Quick test_decider_rejects_small_n;
     Alcotest.test_case "lazy certificate stream" `Quick test_certificates_seq;
-    Alcotest.test_case "parallel decider agrees with serial" `Slow test_parallel_search_agrees;
-    Alcotest.test_case "parallel decider is deterministic (1 vs 4 domains)" `Slow
-      test_parallel_search_deterministic;
+    Alcotest.test_case "product type structure" `Quick test_product_structure;
     Alcotest.test_case "robustness report (Theorem 14)" `Quick test_robustness_report;
     Alcotest.test_case "robustness input validation" `Quick test_robustness_rejects_non_readable;
     Alcotest.test_case "Theorem 14 on product objects" `Slow test_product_robustness;
-    Alcotest.test_case "product type structure" `Quick test_product_structure;
     Alcotest.test_case "census sample properties" `Slow test_census_sample_properties;
     Alcotest.test_case "open-question probe: non-readable products" `Slow test_nonreadable_product_probe;
     Alcotest.test_case "recording never exceeds discerning" `Slow test_recording_at_most_discerning;
@@ -780,7 +696,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_decider_certificates_replay;
     QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
     QCheck_alcotest.to_alcotest prop_patched_kernel_matches_fresh_compile;
-    Alcotest.test_case "retarget rejects a different shape, voids tokens" `Quick
-      test_retarget_rejects;
     QCheck_alcotest.to_alcotest prop_retargeted_kernel_matches_fresh_compile;
   ]

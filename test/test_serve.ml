@@ -445,8 +445,65 @@ let test_frame_robustness () =
     (QCheck.Test.make ~count:60 ~name:"random bytes never wedge the daemon"
        (QCheck.make gen) prop)
 
+(* Malformed census and synth spaces are usage errors on every surface:
+   the daemon answers [err_invalid] with [Api.Request.validate]'s
+   message, and the CLI exits 2 — with [--workers] too, which bypasses
+   the dispatcher.  A removed kernel mode is a cmdliner usage error. *)
+let test_malformed_requests_rejected () =
+  let rcn = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rcn.exe" in
+  let cli args =
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid = Unix.create_process rcn (Array.of_list (rcn :: args)) Unix.stdin null null in
+    Unix.close null;
+    match Unix.waitpid [] pid with _, Unix.WEXITED code -> code | _ -> -1
+  in
+  let space (v, r, p) = { Synth.num_values = v; num_rws = r; num_responses = p } in
+  let config = Api.Config.v ~cap:2 () in
+  let census ?sample dims =
+    Api.Request.Census
+      { space = space dims; sample; seed = 1; checkpoint = None; resume = false;
+        durable = false; config }
+  in
+  with_tmpdir @@ fun dir ->
+  with_daemon ~dir @@ fun ~obs:_ ~socket ->
+  let rejected label req args =
+    (match (Api.Request.validate req, call socket req) with
+    | Error msg, { Api.Response.body = Api.Response.Error { code; message }; _ } ->
+        check_int (label ^ ": err_invalid") Api.Response.err_invalid code;
+        check_string (label ^ ": the validator's message") msg message
+    | _, r -> Alcotest.failf "%s: got %s" label (Api.Response.to_string r));
+    check_int (label ^ ": CLI exit") 2 (cli args)
+  in
+  List.iter
+    (fun (label, sample, ((v, r, p) as dims)) ->
+      let args =
+        "census" :: Printf.sprintf "--values=%d" v :: Printf.sprintf "--rws=%d" r
+        :: Printf.sprintf "--responses=%d" p
+        :: Option.to_list (Option.map (Printf.sprintf "--sample=%d") sample)
+      in
+      rejected label (census ?sample dims) args;
+      if sample = None then
+        check_int (label ^ ": CLI exit with --workers") 2 (cli (args @ [ "--workers=1" ])))
+    [
+      ("zero responses", None, (2, 2, 0));
+      ("negative sample", Some (-5), (2, 2, 2));
+      ("one value", None, (1, 2, 2));
+      ("overflowing space", None, (9, 9, 9));
+    ];
+  rejected "synth zero responses"
+    (Api.Request.Synth
+       { space = space (2, 2, 0); target = 4; seed = 1; iterations = 10;
+         restart_every = None; portfolio = 1; config })
+    [ "synth"; "--responses=0" ];
+  check_int "removed kernel mode: CLI exit" 124
+    (cli [ "analyze"; "test-and-set"; "--kernel"; "tables" ]);
+  check_bool "a sampled census of a huge space validates" true
+    (Result.is_ok (Api.Request.validate (census ~sample:2 (9, 9, 9))))
+
 let suite =
   [
+    Alcotest.test_case "malformed requests are usage errors" `Quick
+      test_malformed_requests_rejected;
     Alcotest.test_case "single client: store hit is byte-identical" `Quick
       test_single_client_basics;
     Alcotest.test_case "census and synth over the socket" `Slow test_mixed_requests_run;
