@@ -59,10 +59,11 @@ inject-smoke: build
 	  --report $(SMOKE_DIR)/inject-report.txt --require-violation
 	rm -f $(SMOKE_DIR)/inject-report.txt
 
-# Crash-recovery smoke: the bounded crashtest sweep over all three
-# durable artifacts (store log, lease ledger, census checkpoint) — a
-# crash / I/O error / torn write / lying fsync injected at every
-# operation boundary, recovery re-run and audited after each plan.
+# Crash-recovery smoke: the bounded crashtest sweep over both durable
+# artifacts (store log; census ledger, which is also the in-process
+# census checkpoint) — a crash / I/O error / torn write / lying fsync
+# injected at every operation boundary, recovery re-run and audited
+# after each plan.
 # Gated twice: the sweep's own exit code, and the stats block showing a
 # nonzero plan count with exactly zero invariant violations.  Violating
 # plans leave their artifacts under $(SMOKE_DIR)/crashtest for CI to

@@ -403,15 +403,30 @@ let parse_slot_spec ~flag text =
               exit 2)
         (String.split_on_char ',' text)
 
+(* A census body, either path; [flag] names the progress file option a
+   PARTIAL run is finished with. *)
+let print_census ~flag progress = function
+  | Api.Response.Census run ->
+      Format.printf "%a@." Census.pp run.Api.Response.entries;
+      Option.iter
+        (fun path ->
+          if run.Api.Response.resumed > 0 then
+            Printf.printf "resumed %d previously decided tables from %s\n"
+              run.Api.Response.resumed path)
+        progress;
+      if not run.Api.Response.complete then
+        Printf.printf "PARTIAL: %d of %d tables decided%s\n" run.Api.Response.completed
+          run.Api.Response.total
+          (match progress with
+          | Some path -> Printf.sprintf " (re-run with %s %s --resume to finish)" flag path
+          | None -> "")
+  | _ -> prerr_endline "rcn: unexpected response kind"
+
 (* The distributed path: Dist.census over worker processes, folded back
    into the same Api.Response shape so printing, the quarantine banner
    and the exit-code policy are exactly the single-process ones. *)
 let census_dist ~obs ~space ~config ~workers ~ledger ~resume ~lease_ttl ~chunk
     ~stride ~crash ~throttle sup_opts =
-  if resume && ledger = None then begin
-    prerr_endline "--resume with --workers needs --ledger FILE to resume from";
-    exit 2
-  end;
   let resp =
     match
       Dist.census ~obs ?ledger ~resume ?lease_ttl ?chunk ?stride
@@ -429,24 +444,15 @@ let census_dist ~obs ~space ~config ~workers ~ledger ~resume ~lease_ttl ~chunk
                complete = outcome.Dist.complete;
              })
     | exception Invalid_argument msg -> Api.Response.error msg
+    | exception ((Fsio.Io_error _ | Fsio.Corrupt _) as e) ->
+        Api.Response.error ~code:Api.Response.err_storage
+          (Option.value ~default:(Printexc.to_string e) (Fsio.error_message e))
     | exception Unix.Unix_error (e, fn, _) ->
         Api.Response.error ~code:Api.Response.err_internal
           (Printf.sprintf "%s: %s" fn (Unix.error_message e))
   in
-  finish ?quarantine_report:sup_opts.quarantine_report resp (function
-    | Api.Response.Census run ->
-        Format.printf "%a@." Census.pp run.Api.Response.entries;
-        if run.Api.Response.resumed > 0 then
-          Printf.printf "resumed %d previously decided tables from the ledger\n"
-            run.Api.Response.resumed;
-        if not run.Api.Response.complete then
-          Printf.printf "PARTIAL: %d of %d tables decided%s\n"
-            run.Api.Response.completed run.Api.Response.total
-            (match ledger with
-            | Some path ->
-                Printf.sprintf " (re-run with --ledger %s --resume to finish)" path
-            | None -> "")
-    | _ -> prerr_endline "rcn: unexpected response kind")
+  finish ?quarantine_report:sup_opts.quarantine_report resp
+    (print_census ~flag:"--ledger" ledger)
 
 let census values rws responses cap sample_count seed jobs kernel deadline sym
     checkpoint resume durable workers ledger lease_ttl dist_chunk dist_stride
@@ -473,10 +479,11 @@ let census values rws responses cap sample_count seed jobs kernel deadline sym
         (durable, "--durable (the ledger is always fsync'd)");
       ];
     let config = build_config ~cap ~jobs ~kernel ~deadline ~sym sup_opts in
+    (* the ledger is this path's progress file: validate it as one *)
     (match
        Api.Request.validate
          (Api.Request.Census
-            { space; sample = None; seed; checkpoint = None; resume; durable; config })
+            { space; sample = None; seed; checkpoint = ledger; resume; durable; config })
      with
     | Ok () -> ()
     | Error msg ->
@@ -489,34 +496,14 @@ let census values rws responses cap sample_count seed jobs kernel deadline sym
       sup_opts
   end
   else begin
-    if resume && checkpoint = None then begin
-      prerr_endline "--resume needs --checkpoint FILE to resume from";
-      exit 2
-    end;
-    if durable && checkpoint = None then begin
-      prerr_endline "--durable needs --checkpoint FILE to make durable";
-      exit 2
-    end;
     let config = build_config ~cap ~jobs ~kernel ~deadline ~sym sup_opts in
     let req =
       Api.Request.Census
         { space; sample = sample_count; seed; checkpoint; resume; durable; config }
     in
     let resp = dispatch ~connect ~obs ~command:"census" req in
-    finish ?quarantine_report:sup_opts.quarantine_report resp (function
-      | Api.Response.Census run ->
-          Format.printf "%a@." Census.pp run.Api.Response.entries;
-          if run.Api.Response.resumed > 0 then
-            Printf.printf "resumed %d previously decided tables from checkpoint\n"
-              run.Api.Response.resumed;
-          if not run.Api.Response.complete then
-            Printf.printf "PARTIAL: %d of %d tables decided%s\n" run.Api.Response.completed
-              run.Api.Response.total
-              (match checkpoint with
-              | Some path ->
-                  Printf.sprintf " (re-run with --checkpoint %s --resume to finish)" path
-              | None -> "")
-      | _ -> prerr_endline "rcn: unexpected response kind")
+    finish ?quarantine_report:sup_opts.quarantine_report resp
+      (print_census ~flag:"--checkpoint" checkpoint)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -542,29 +529,13 @@ let worker config_json values rws responses stride throttle_us crash_after =
    resumes it until it completes, and asserts the recovered histogram is
    bit-identical to an uninterrupted in-process reference. *)
 
-(* Completed checkpoint records = complete lines minus the header; a
-   torn trailing line (no newline yet) is not counted, matching what the
-   loader will accept. *)
-let count_records path =
-  if not (Sys.file_exists path) then 0
-  else
-    In_channel.with_open_bin path (fun ic ->
-        let n = ref 0 in
-        let rec loop () =
-          match In_channel.input_char ic with
-          | Some '\n' ->
-              incr n;
-              loop ()
-          | Some _ -> loop ()
-          | None -> ()
-        in
-        loop ();
-        max 0 (!n - 1))
-
-(* Completed lease-ledger results: lines that are "rcndist1 done" record
-   headers.  Payload lines are single-line JSON (or the header string),
-   so the prefix cannot occur mid-record. *)
+(* Completed census progress: lines that are "<magic> done " record
+   headers (the prefix follows [Dist_ledger.magic], so a magic bump
+   cannot silently turn the soaks into no-kill runs).  Payload lines are
+   single-line JSON (or the header string), so the prefix cannot occur
+   mid-record. *)
 let count_done_records path =
+  let prefix = Dist_ledger.magic ^ " done " in
   if not (Sys.file_exists path) then 0
   else
     In_channel.with_open_bin path (fun ic ->
@@ -572,8 +543,7 @@ let count_done_records path =
         let rec loop () =
           match In_channel.input_line ic with
           | Some line ->
-              if String.length line >= 14 && String.sub line 0 14 = "rcndist2 done "
-              then incr n;
+              if String.starts_with ~prefix line then incr n;
               loop ()
           | None -> ()
         in
@@ -612,11 +582,60 @@ let watch_child ~argv ~count ~target ~timeout =
   in
   watch ()
 
+(* The census child a soak kills: this binary, the soaked space, and
+   the path-specific [extra] flags. *)
+let soak_argv ~values ~rws ~responses ~cap ~jobs ~kernel extra =
+  Array.of_list
+    ([
+       Sys.executable_name; "census";
+       "--values"; string_of_int values;
+       "--rws"; string_of_int rws;
+       "--responses"; string_of_int responses;
+       "--cap"; string_of_int cap;
+       "--jobs"; string_of_int jobs;
+       "--kernel"; Kernel.mode_to_string kernel;
+     ]
+    @ extra)
+
+(* The soak loop: one child per kill target, SIGKILLed once [count]
+   reaches the target, then one final run left to finish.  [who] names
+   the child in the log, [progress] the denominator of [count].  Returns
+   the number of kills, or [None] after a timeout or a failed child. *)
+let kill_cycles ~argv ~count ~targets ~timeout ~who ~progress =
+  let killed = ref 0 in
+  let rec go i = function
+    | [] -> (
+        match watch_child ~argv:(argv ()) ~count ~target:max_int ~timeout with
+        | `Completed -> Some !killed
+        | `Timeout ->
+            Printf.printf "final run: TIMEOUT after %.0fs\n%!" timeout;
+            None
+        | `Killed _ | `Failed _ ->
+            Printf.printf "final run: %s failed\n%!" who;
+            None)
+    | target :: rest -> (
+        match watch_child ~argv:(argv ()) ~count ~target ~timeout with
+        | `Killed at ->
+            incr killed;
+            Printf.printf "cycle %d: %s killed at %d/%s\n%!" i who at progress;
+            go (i + 1) rest
+        | `Completed ->
+            Printf.printf "cycle %d: census completed before kill point %d\n%!" i target;
+            go (i + 1) rest
+        | `Timeout ->
+            Printf.printf "cycle %d: TIMEOUT after %.0fs\n%!" i timeout;
+            None
+        | `Failed _ ->
+            Printf.printf "cycle %d: %s failed\n%!" i who;
+            None)
+  in
+  go 1 targets
+
 (* soak --dist: the kill(-9) soak generalized to whole processes.  Every
    coordinator incarnation injects one seeded self-SIGKILL per worker
    slot; the coordinator itself is SIGKILLed at seeded ledger-progress
    points and resumed from the ledger.  The final audit replays the
-   ledger the way a recovering coordinator would (Dist.plan_of_ledger)
+   ledger the way a recovering coordinator would (Dist_ledger.plan_of_ledger)
    and insists on full disjoint coverage with a histogram bit-identical
    to the uninterrupted in-process census. *)
 let soak_dist ~obs ~space ~values ~rws ~responses ~cap ~kills ~coordinator_kills
@@ -660,75 +679,45 @@ let soak_dist ~obs ~space ~values ~rws ~responses ~cap ~kills ~coordinator_kills
     |> List.sort compare
   in
   let child_argv () =
-    [|
-      Sys.executable_name; "census";
-      "--values"; string_of_int values;
-      "--rws"; string_of_int rws;
-      "--responses"; string_of_int responses;
-      "--cap"; string_of_int cap;
-      "--jobs"; string_of_int jobs;
-      "--kernel"; Kernel.mode_to_string kernel;
-      "--workers"; string_of_int workers;
-      "--ledger"; path;
-      "--resume";
-      "--retries"; "6";
-      "--dist-chunk"; string_of_int chunk;
-      "--dist-stride"; "16";
-      "--dist-crash"; crash_spec ();
-    |]
+    soak_argv ~values ~rws ~responses ~cap ~jobs ~kernel
+      [
+        "--workers"; string_of_int workers;
+        "--ledger"; path;
+        "--resume";
+        "--retries"; "6";
+        "--dist-chunk"; string_of_int chunk;
+        "--dist-stride"; "16";
+        "--dist-crash"; crash_spec ();
+      ]
   in
-  let count () = count_done_records path in
-  let coord_kills_done = ref 0 in
-  let failed = ref false in
-  List.iteri
-    (fun i target ->
-      if not !failed then
-        match watch_child ~argv:(child_argv ()) ~count ~target ~timeout with
-        | `Killed at ->
-            incr coord_kills_done;
-            Printf.printf "cycle %d: coordinator killed at %d/%d ledger results\n%!"
-              (i + 1) at chunks
-        | `Completed ->
-            Printf.printf "cycle %d: census completed before kill point %d\n%!"
-              (i + 1) target
-        | `Timeout ->
-            Printf.printf "cycle %d: TIMEOUT after %.0fs\n%!" (i + 1) timeout;
-            failed := true
-        | `Failed _ ->
-            Printf.printf "cycle %d: coordinator failed\n%!" (i + 1);
-            failed := true)
-    targets;
-  if !failed then 1
-  else
-    match watch_child ~argv:(child_argv ()) ~count ~target:max_int ~timeout with
-    | `Timeout ->
-        Printf.printf "final run: TIMEOUT after %.0fs\n%!" timeout;
+  match
+    kill_cycles ~argv:child_argv ~count:(fun () -> count_done_records path) ~targets
+      ~timeout ~who:"coordinator" ~progress:(Printf.sprintf "%d ledger results" chunks)
+  with
+  | None -> 1
+  | Some coord_kills ->
+      let expected = Dist_ledger.header ~space ~cap ~total () in
+      let plan = Dist_ledger.plan_of_ledger ~expected ~total path in
+      let identical = plan.Dist_ledger.plan_entries = reference.Engine.entries in
+      let covered =
+        plan.Dist_ledger.plan_covered = total && plan.Dist_ledger.plan_gaps = []
+      in
+      if covered && identical && plan.Dist_ledger.plan_deaths >= kills then begin
+        Printf.printf
+          "soak --dist: OK — survived %d worker death(s) and %d coordinator \
+           kill(-9)s; ledger-merged histogram bit-identical to the \
+           single-process census (%d tables)\n"
+          plan.Dist_ledger.plan_deaths coord_kills total;
+        if temp then Sys.remove path;
+        0
+      end
+      else begin
+        Printf.printf
+          "soak --dist: FAIL — covered=%b identical=%b deaths=%d (wanted >= %d); \
+           ledger kept at %s\n"
+          covered identical plan.Dist_ledger.plan_deaths kills path;
         1
-    | `Killed _ -> 1
-    | `Failed _ ->
-        Printf.printf "final run: coordinator failed\n%!";
-        1
-    | `Completed ->
-        let expected = Dist_ledger.header ~space ~cap ~total () in
-        let plan = Dist.plan_of_ledger ~expected ~total path in
-        let identical = plan.Dist.plan_entries = reference.Engine.entries in
-        let covered = plan.Dist.plan_covered = total && plan.Dist.plan_gaps = [] in
-        if covered && identical && plan.Dist.plan_deaths >= kills then begin
-          Printf.printf
-            "soak --dist: OK — survived %d worker death(s) and %d coordinator \
-             kill(-9)s; ledger-merged histogram bit-identical to the \
-             single-process census (%d tables)\n"
-            plan.Dist.plan_deaths !coord_kills_done total;
-          if temp then Sys.remove path;
-          0
-        end
-        else begin
-          Printf.printf
-            "soak --dist: FAIL — covered=%b identical=%b deaths=%d (wanted >= %d); \
-             ledger kept at %s\n"
-            covered identical plan.Dist.plan_deaths kills path;
-          1
-        end
+      end
 
 let soak values rws responses cap kills seed jobs kernel checkpoint timeout dist
     workers coordinator_kills ledger trace stats =
@@ -759,127 +748,57 @@ let soak values rws responses cap kills seed jobs kernel checkpoint timeout dist
     Pool.with_pool ~obs ~jobs @@ fun pool -> Engine.census ~obs ~config pool space
   in
   let total = reference.Engine.total in
+  (* An uninterrupted run appends one Done record per 32-table chunk. *)
+  let records = (total + 31) / 32 in
   Printf.printf "soak: %d tables (%d values, %d rws, %d responses), %d kill cycles, seed %d\n%!"
     total values rws responses kills seed;
-  (* Seeded ascending kill points over the record count, so each cycle
-     makes progress before dying; identical seeds kill at identical
-     progress, making failures replayable. *)
+  (* Seeded ascending kill points over the Done-record count, so each
+     cycle makes progress before dying; identical seeds kill at
+     identical progress, making failures replayable. *)
   let targets =
     let rng = Random.State.make [| 0x50a4; seed; kills |] in
     List.init kills (fun _ ->
-        max 1 (int_of_float (float_of_int total *. (0.05 +. Random.State.float rng 0.85))))
+        max 1 (int_of_float (float_of_int records *. (0.05 +. Random.State.float rng 0.85))))
     |> List.sort compare
   in
-  let child_argv =
-    [|
-      Sys.executable_name; "census";
-      "--values"; string_of_int values;
-      "--rws"; string_of_int rws;
-      "--responses"; string_of_int responses;
-      "--cap"; string_of_int cap;
-      "--jobs"; string_of_int jobs;
-      "--kernel"; Kernel.mode_to_string kernel;
-      "--checkpoint"; path;
-      "--resume"; "--durable";
-    |]
+  let argv () =
+    soak_argv ~values ~rws ~responses ~cap ~jobs ~kernel
+      [ "--checkpoint"; path; "--resume"; "--durable" ]
   in
-  (* Run one child; kill it once the checkpoint reaches [target] records
-     ([max_int] = let it finish).  Progress-based kill points are robust
-     across machine speeds, unlike sleeps. *)
-  let run_cycle ~target =
-    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-    let pid =
-      Unix.create_process Sys.executable_name child_argv devnull devnull Unix.stderr
+  match
+    kill_cycles ~argv ~count:(fun () -> count_done_records path) ~targets ~timeout
+      ~who:"child" ~progress:(Printf.sprintf "%d records" records)
+  with
+  | None -> 1
+  | Some killed ->
+    (* Resume the finished checkpoint in-process: every table must
+       come from the file, and the histogram must be bit-identical
+       to the uninterrupted reference. *)
+    let final =
+      Pool.with_pool ~obs ~jobs @@ fun pool ->
+      Engine.census ~obs ~checkpoint:path ~resume:true ~config pool space
     in
-    Unix.close devnull;
-    let t0 = Obs.Clock.now () in
-    let kill_and_reap () =
-      Unix.kill pid Sys.sigkill;
-      ignore (Fsio.Retry.eintr (fun () -> Unix.waitpid [] pid))
-    in
-    let rec watch () =
-      match Fsio.Retry.eintr (fun () -> Unix.waitpid [ Unix.WNOHANG ] pid) with
-      | 0, _ ->
-          if count_records path >= target then begin
-            kill_and_reap ();
-            `Killed (count_records path)
-          end
-          else if Obs.Clock.now () -. t0 > timeout then begin
-            kill_and_reap ();
-            `Timeout
-          end
-          else begin
-            Obs.Clock.sleep 0.005;
-            watch ()
-          end
-      | _, Unix.WEXITED 0 -> `Completed
-      | _, status -> `Failed status
-    in
-    watch ()
-  in
-  let killed = ref 0 in
-  let failed = ref false in
-  List.iteri
-    (fun i target ->
-      if not !failed then
-        match run_cycle ~target with
-        | `Killed at ->
-            incr killed;
-            Printf.printf "cycle %d: killed at %d/%d records\n%!" (i + 1) at total
-        | `Completed ->
-            Printf.printf "cycle %d: census completed before kill point %d\n%!" (i + 1)
-              target
-        | `Timeout ->
-            Printf.printf "cycle %d: TIMEOUT after %.0fs\n%!" (i + 1) timeout;
-            failed := true
-        | `Failed _ ->
-            Printf.printf "cycle %d: child failed\n%!" (i + 1);
-            failed := true)
-    targets;
-  let code =
-    if !failed then 1
-    else
-      match run_cycle ~target:max_int with
-      | `Timeout ->
-          Printf.printf "final run: TIMEOUT after %.0fs\n%!" timeout;
-          1
-      | `Killed _ ->
-          (* unreachable: max_int records never accumulate *)
-          1
-      | `Failed _ ->
-          Printf.printf "final run: child failed\n%!";
-          1
-      | `Completed ->
-          (* Resume the finished checkpoint in-process: every table must
-             come from the file, and the histogram must be bit-identical
-             to the uninterrupted reference. *)
-          let final =
-            Pool.with_pool ~obs ~jobs @@ fun pool ->
-            Engine.census ~obs ~checkpoint:path ~resume:true ~config pool space
-          in
-          if
-            final.Engine.complete
-            && final.Engine.resumed = total
-            && final.Engine.entries = reference.Engine.entries
-          then begin
-            Printf.printf
-              "soak: OK — survived %d kill(-9)s; recovered histogram bit-identical to \
-               reference (%d tables)\n"
-              !killed total;
-            if temp then Sys.remove path;
-            0
-          end
-          else begin
-            Printf.printf
-              "soak: FAIL — recovered run differs from reference (complete=%b resumed=%d/%d \
-               entries_match=%b); checkpoint kept at %s\n"
-              final.Engine.complete final.Engine.resumed total
-              (final.Engine.entries = reference.Engine.entries)
-              path;
-            1
-          end
-  in
-  code
+    if
+      final.Engine.complete
+      && final.Engine.resumed = total
+      && final.Engine.entries = reference.Engine.entries
+    then begin
+      Printf.printf
+        "soak: OK — survived %d kill(-9)s; recovered histogram bit-identical to \
+         reference (%d tables)\n"
+        killed total;
+      if temp then Sys.remove path;
+      0
+    end
+    else begin
+      Printf.printf
+        "soak: FAIL — recovered run differs from reference (complete=%b resumed=%d/%d \
+         entries_match=%b); checkpoint kept at %s\n"
+        final.Engine.complete final.Engine.resumed total
+        (final.Engine.entries = reference.Engine.entries)
+        path;
+      1
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -887,9 +806,10 @@ let soak values rws responses cap kills seed jobs kernel checkpoint timeout dist
 
 (* ------------------------------------------------------------------ *)
 (* crashtest: enumerate seeded fault plans against every durable
-   artifact — the serve store log, the distributed lease ledger, and the
-   census checkpoint — re-open after each plan, and assert the recovery
-   invariants:
+   artifact — the serve store log and the census ledger (the one
+   progress format of both the distributed coordinator and the
+   in-process checkpoint) — re-open after each plan, and assert the
+   recovery invariants:
 
    - recovery never raises on torn input (a crash can only tear the
      tail, and replay truncates it);
@@ -919,9 +839,6 @@ type crashtest_artifact = {
   ct_recover : path:string -> (string * string) list;
       (* replay the artifact; raises are the driver's to judge *)
   ct_prefix : bool;  (* recovery yields a prefix of the append order *)
-  ct_flip : string -> int;
-      (* given the clean file bytes, the offset of a byte whose flip
-         must be detected as corruption *)
 }
 
 let ct_lie injector =
@@ -980,8 +897,10 @@ let ct_store_recover ~path =
         (fun (k, _) -> Option.map (fun v -> (k, v)) (Store.find store k))
         ct_store_items)
 
-(* flip the first payload byte of the first record: mid-log (more
-   records follow), past the magic, and covered by the CRC *)
+(* The byte the corruption corpus flips in a clean artifact: the first
+   payload byte of the first record — mid-log (more records follow),
+   past the magic, and covered by the CRC.  Both artifacts are
+   Fsio.Record logs. *)
 let ct_record_flip contents =
   match String.index_opt contents '\n' with
   | Some nl when nl + 1 < String.length contents -> nl + 1
@@ -1034,68 +953,6 @@ let ct_ledger_recover ~path =
   let records, _torn = Dist_ledger.load path ~expected:ct_expected_ledger in
   List.map (fun r -> ("", Dist_ledger.encode r)) records
 
-(* --- census checkpoint -------------------------------------------- *)
-
-let ct_expected_ckpt = Engine.Checkpoint.header ~space:ct_space ~cap:2 ~total:16
-
-let ct_ckpt_lines =
-  List.init 6 (fun i -> (Printf.sprintf "l%d" i, Engine.Checkpoint.line i 2 (1 + (i mod 2))))
-
-let ct_ckpt_workload ~path injector =
-  let attempt, appended, result = ct_tracker injector in
-  (try
-     let log = Fsio.open_log ?injector path in
-     (try
-        (* the census writer's open discipline: parse, truncate the torn
-           tail, append the header if none survives *)
-        let contents = Fsio.contents log in
-        let _, good =
-          Engine.Checkpoint.parse ~path ~expected:ct_expected_ckpt contents
-        in
-        if good < String.length contents then Fsio.truncate log good;
-        if good = 0 then begin
-          let lie_before = ct_lie injector in
-          attempt "header" (ct_expected_ckpt ^ "\n");
-          Fsio.append log (ct_expected_ckpt ^ "\n");
-          Fsio.fsync log;
-          appended "header" (ct_expected_ckpt ^ "\n") ~lie_before
-        end;
-        List.iter
-          (fun (id, line) ->
-            let lie_before = ct_lie injector in
-            attempt id line;
-            Fsio.append log line;
-            Fsio.fsync log;
-            appended id line ~lie_before)
-          ct_ckpt_lines;
-        Fsio.close log
-      with e ->
-        (try Fsio.close log with Fsio.Io_error _ -> ());
-        raise e)
-   with Fsio.Crashed | Fsio.Io_error _ -> ());
-  result ()
-
-let ct_ckpt_recover ~path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let contents = In_channel.with_open_bin path In_channel.input_all in
-    let entries, good =
-      Engine.Checkpoint.parse ~path ~expected:ct_expected_ckpt contents
-    in
-    let header = if good = 0 then [] else [ ("header", ct_expected_ckpt ^ "\n") ] in
-    header
-    @ List.map
-        (fun (i, (d, r)) -> (Printf.sprintf "l%d" i, Engine.Checkpoint.line i d r))
-        entries
-  end
-
-(* flip the first byte of the first entry line (index digit): complete,
-   CRC-covered, mid-file once more lines follow *)
-let ct_ckpt_flip contents =
-  match String.index_opt contents '\n' with
-  | Some nl when nl + 1 < String.length contents -> nl + 1
-  | _ -> invalid_arg "crashtest: clean checkpoint too short to corrupt"
-
 let ct_artifacts =
   [
     {
@@ -1103,21 +960,12 @@ let ct_artifacts =
       ct_workload = ct_store_workload;
       ct_recover = ct_store_recover;
       ct_prefix = false;  (* the store is a map; order is not observable *)
-      ct_flip = ct_record_flip;
     };
     {
       ct_name = "ledger";
       ct_workload = ct_ledger_workload;
       ct_recover = ct_ledger_recover;
       ct_prefix = true;
-      ct_flip = ct_record_flip;
-    };
-    {
-      ct_name = "checkpoint";
-      ct_workload = ct_ckpt_workload;
-      ct_recover = ct_ckpt_recover;
-      ct_prefix = true;
-      ct_flip = ct_ckpt_flip;
     };
   ]
 
@@ -1188,7 +1036,7 @@ let crashtest artifact_names seed dir keep trace stats =
             | Some a -> a
             | None ->
                 Printf.eprintf
-                  "rcn crashtest: unknown artifact %S (store|ledger|checkpoint)\n" n;
+                  "rcn crashtest: unknown artifact %S (store|ledger)\n" n;
                 exit 2)
           names
   in
@@ -1263,7 +1111,7 @@ let crashtest artifact_names seed dir keep trace stats =
       let path = Filename.concat dir "artifact.log" in
       ignore (artifact.ct_workload ~path None);
       let contents = In_channel.with_open_bin path In_channel.input_all in
-      let off = artifact.ct_flip contents in
+      let off = ct_record_flip contents in
       let bytes = Bytes.of_string contents in
       Bytes.set bytes off (Char.chr (Char.code (Bytes.get bytes off) lxor 1));
       Out_channel.with_open_bin path (fun oc ->
@@ -1727,19 +1575,22 @@ let census_cmd =
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"S" ~doc:"Sampling seed.") in
   let checkpoint =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
-           ~doc:"Append every decided table's levels to $(docv), flushed as the \
-                 sweep goes, so an interrupted census loses no finished work.")
+           ~doc:"Record decided ranges in the census ledger $(docv) (the \
+                 $(b,--ledger) format of $(b,--workers)), flushed as the sweep \
+                 goes, so an interrupted census loses no finished work.")
   in
   let resume =
     Arg.(value & flag & info [ "resume" ]
            ~doc:"Load previously decided tables from the $(b,--checkpoint) file \
-                 and recompute only the missing ones.")
+                 (with $(b,--workers): the $(b,--ledger) file) and recompute \
+                 only the missing ones.  Either path resumes a file the other \
+                 wrote.")
   in
   let durable =
     Arg.(value & flag & info [ "durable" ]
            ~doc:"fsync the $(b,--checkpoint) file after every append, extending \
                  crash safety from process death ($(b,kill -9)) to machine \
-                 death, at the cost of one disk round trip per flushed chunk.")
+                 death, at the cost of one disk round trip per appended record.")
   in
   let workers =
     Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N"
@@ -2029,8 +1880,7 @@ let robustness_cmd =
 let crashtest_cmd =
   let artifacts =
     Arg.(value & opt (list string) [] & info [ "artifact" ] ~docv:"NAMES"
-           ~doc:"Comma-separated subset of store, ledger, checkpoint \
-                 (default: all three).")
+           ~doc:"Comma-separated subset of store, ledger (default: both).")
   in
   let seed =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"S"

@@ -378,6 +378,14 @@ module Request = struct
     let* () = match config req with Some c -> Config.validate c | None -> Ok () in
     match req with
     | Census { sample = Some n; _ } when n < 0 -> Error "sample must be nonnegative"
+    | Census { sample = Some _; checkpoint; resume; durable; _ }
+      when checkpoint <> None || resume || durable ->
+        Error "sample cannot be combined with checkpoint, resume or durable \
+               (checkpoints are exhaustive-only)"
+    | Census { checkpoint = None; resume = true; _ } ->
+        Error "resume needs a checkpoint file to resume from"
+    | Census { checkpoint = None; durable = true; _ } ->
+        Error "durable needs a checkpoint file to make durable"
     | Census { space; sample; _ } -> check_space ~exhaustive:(sample = None) space
     | Synth { space; _ } -> check_space ~exhaustive:false space
     | Analyze _ | Metrics | Ping -> Ok ()

@@ -135,7 +135,10 @@ module Request : sig
       requests a well-formed space — every dimension at least 2
       ([Synth.check_space]), a nonnegative [sample], and for an
       exhaustive census a table count ([Census.space_size]) that fits an
-      [int].  The error names the failed check. *)
+      [int].  A census's checkpoint flags must mean something: [resume]
+      and [durable] need a [checkpoint], and none of the three combines
+      with [sample] (checkpoints are exhaustive-only).  The error names
+      the failed check. *)
 
   val to_json : t -> Wire.t
   val of_json : Wire.t -> (t, string) result

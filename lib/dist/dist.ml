@@ -43,80 +43,6 @@ type outcome = {
   deaths : int;
 }
 
-type plan = {
-  plan_total : int;
-  plan_covered : int;
-  plan_entries : Census.entry list;
-  plan_gaps : (int * int) list;
-  plan_deaths : int;
-}
-
-(* Fold the Done records of a replayed ledger into a coverage bitmap and
-   histogram, ignoring any record that is out of range, overlapping, or
-   whose counts do not sum to its weight — the paranoid read that makes
-   resume trust only self-consistent results.  [weight ~lo ~hi] is the
-   number of tables the range accounts for: its width normally, the sum
-   of its orbit sizes under symmetry reduction (where ranks are
-   canonical classes and one verdict counts a whole orbit). *)
-let replay_done ~total ~weight records =
-  let covered = Bytes.make total '\000' in
-  let hist : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let covered_n = ref 0 in
-  let deaths = ref 0 in
-  let free lo hi =
-    let ok = ref true in
-    for i = lo to hi - 1 do
-      if Bytes.get covered i <> '\000' then ok := false
-    done;
-    !ok
-  in
-  List.iter
-    (function
-      | Dist_ledger.Done { lo; hi; entries }
-        when lo >= 0 && hi <= total && lo < hi && free lo hi
-             && List.fold_left (fun a (_, _, c) -> a + c) 0 entries = weight ~lo ~hi
-        ->
-          Bytes.fill covered lo (hi - lo) '\001';
-          covered_n := !covered_n + weight ~lo ~hi;
-          List.iter
-            (fun (d, r, c) ->
-              Hashtbl.replace hist (d, r)
-                (c + Option.value ~default:0 (Hashtbl.find_opt hist (d, r))))
-            entries
-      | Dist_ledger.Death _ -> incr deaths
-      | _ -> ())
-    records;
-  (covered, hist, !covered_n, !deaths)
-
-let gaps_of covered total =
-  let gaps = ref [] in
-  let i = ref 0 in
-  while !i < total do
-    if Bytes.get covered !i = '\000' then begin
-      let j = ref !i in
-      while !j < total && Bytes.get covered !j = '\000' do
-        incr j
-      done;
-      gaps := (!i, !j) :: !gaps;
-      i := !j
-    end
-    else incr i
-  done;
-  List.rev !gaps
-
-let plan_of_ledger ~expected ~total path =
-  let records, _torn = Dist_ledger.load path ~expected in
-  let covered, hist, covered_n, deaths =
-    replay_done ~total ~weight:(fun ~lo ~hi -> hi - lo) records
-  in
-  {
-    plan_total = total;
-    plan_covered = covered_n;
-    plan_entries = Census.of_histogram hist;
-    plan_gaps = gaps_of covered total;
-    plan_deaths = deaths;
-  }
-
 (* Coordinator-side per-worker state machine. *)
 
 type lease = {
@@ -180,43 +106,13 @@ let census ?obs ?rcn ?ledger ?(resume = false) ?(fsync = true)
   let deadline_abs = Option.map Obs.Clock.after config.Api.Config.deadline in
   let expired () = Obs.Clock.expired deadline_abs in
   (* Symmetry reduction: the rank space the leases shard is the space of
-     canonical-class ranks, and each rank [i] accounts for [orbits.(i)]
+     canonical-class ranks, and each rank accounts for its orbit's
      tables.  The scan is deterministic, so every worker derives the
      identical representative list on its own — assignments stay plain
      [lo, hi) rank ranges on the wire. *)
-  let sym_orbits =
-    if config.Api.Config.sym then
-      let t0 = Obs.Clock.now () in
-      let s =
-        Sym.make ~values:space.Synth.num_values ~ops:space.Synth.num_rws
-          ~responses:space.Synth.num_responses
-      in
-      let reps, orbits = Sym.classes s in
-      (match obs with
-      | None -> ()
-      | Some o ->
-          Obs.Metrics.Counter.add (Obs.counter o "sym.classes") (Array.length reps);
-          Obs.Metrics.Counter.add (Obs.counter o "sym.orbit_max")
-            (Array.fold_left max 0 orbits);
-          Obs.Metrics.Counter.add (Obs.counter o "sym.canon_ns")
-            (int_of_float ((Obs.Clock.now () -. t0) *. 1e9)));
-      Some orbits
-    else None
-  in
-  let ranks = match sym_orbits with Some orbits -> Array.length orbits | None -> total in
-  (* weight-prefix sums: [wsum.(i)] tables live below rank [i] *)
-  let wsum =
-    match sym_orbits with
-    | None -> [||]
-    | Some orbits ->
-        let pre = Array.make (ranks + 1) 0 in
-        Array.iteri (fun i w -> pre.(i + 1) <- pre.(i) + w) orbits;
-        assert (pre.(ranks) = total);
-        pre
-  in
-  let weight_of ~lo ~hi =
-    match sym_orbits with None -> hi - lo | Some _ -> wsum.(hi) - wsum.(lo)
-  in
+  let rs = Engine.census_ranks ?obs ~sym:config.Api.Config.sym space in
+  let ranks = rs.Engine.ranks in
+  let weight_of = rs.Engine.weight in
   let rcn = match rcn with Some p -> p | None -> Sys.executable_name in
   let ledger_path, temp_ledger =
     match ledger with
@@ -228,14 +124,14 @@ let census ?obs ?rcn ?ledger ?(resume = false) ?(fsync = true)
   in
   let expected =
     Dist_ledger.header
-      ?sym_classes:(match sym_orbits with Some _ -> Some ranks | None -> None)
+      ?sym_classes:(Option.map (fun _ -> ranks) rs.Engine.reps)
       ~space ~cap ~total ()
   in
   let led, replayed =
     Dist_ledger.open_ledger ?obs ~fsync ~expected ~resume ledger_path
   in
   let covered, hist, resumed, _ =
-    replay_done ~total:ranks ~weight:weight_of replayed
+    Dist_ledger.replay_done ~total:ranks ~weight:weight_of replayed
   in
   Option.iter (fun c -> Obs.Metrics.Counter.add c resumed) c_resumed;
   let completed = ref resumed in
@@ -260,26 +156,7 @@ let census ?obs ?rcn ?ledger ?(resume = false) ?(fsync = true)
         Queue.add (!i, j, 0) pending;
         i := j
       done)
-    (gaps_of covered ranks);
-  let mark_done ~lo ~hi entries =
-    Bytes.fill covered lo (hi - lo) '\001';
-    completed := !completed + weight_of ~lo ~hi;
-    accounted := !accounted + weight_of ~lo ~hi;
-    List.iter
-      (fun (d, r, c) ->
-        Hashtbl.replace hist (d, r)
-          (c + Option.value ~default:0 (Hashtbl.find_opt hist (d, r))))
-      entries
-  in
-  let range_free ~lo ~hi =
-    lo >= 0 && hi <= ranks && lo < hi
-    &&
-    let ok = ref true in
-    for i = lo to hi - 1 do
-      if Bytes.get covered i <> '\000' then ok := false
-    done;
-    !ok
-  in
+    (Dist_ledger.gaps_of covered ranks);
   let quarantine_range ~lo ~hi ~attempts ~error =
     Bytes.fill covered lo (hi - lo) '\002';
     accounted := !accounted + weight_of ~lo ~hi;
@@ -543,12 +420,13 @@ let census ?obs ?rcn ?ledger ?(resume = false) ?(fsync = true)
               (e.Census.discerning, e.Census.recording, e.Census.count))
             entries
         in
-        let width = List.fold_left (fun a (_, _, c) -> a + c) 0 triples in
-        if width <> weight_of ~lo ~hi || not (range_free ~lo ~hi) then
-          kill_slot slot ~error:"inconsistent result"
+        (* the resume fold's own trust check, applied live *)
+        if not (Dist_ledger.absorb ~covered ~hist ~weight:weight_of ~lo ~hi triples)
+        then kill_slot slot ~error:"inconsistent result"
         else begin
           Dist_ledger.append led (Dist_ledger.Done { lo; hi; entries = triples });
-          mark_done ~lo ~hi triples;
+          completed := !completed + weight_of ~lo ~hi;
+          accounted := !accounted + weight_of ~lo ~hi;
           slot.state <- Waiting;
           try_assign slot
         end

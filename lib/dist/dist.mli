@@ -44,22 +44,6 @@ type outcome = {
   deaths : int;  (** worker deaths observed (crashes, kills, expiries) *)
 }
 
-type plan = {
-  plan_total : int;
-  plan_covered : int;  (** ranks proven decided by disjoint Done records *)
-  plan_entries : Census.entry list;
-  plan_gaps : (int * int) list;  (** uncovered [(lo, hi)] ranges, sorted *)
-  plan_deaths : int;  (** Death records in the ledger *)
-}
-
-val plan_of_ledger : expected:string -> total:int -> string -> plan
-(** What a recovering coordinator would trust from the ledger at [path]:
-    the disjoint, self-consistent Done records folded into a coverage
-    map and histogram.  Pure read — the file is not modified.  The
-    truncate-at-every-offset recovery test and the soak's final audit
-    are built on this.
-    @raise Invalid_argument on a ledger from a different census. *)
-
 val census :
   ?obs:Obs.t ->
   ?rcn:string ->

@@ -31,11 +31,7 @@ let run ?obs ?(stride = 32) ?(throttle_us = 0) ?(crash_after = 0)
   let cache = Engine.Cache.create ?obs () in
   (* Warm per-process-count state up front, exactly like Engine.census:
      decided levels must not depend on which worker decides a table. *)
-  for n = 2 to cap do
-    match kernel with
-    | Kernel.Reference -> ignore (Engine.Cache.scheds cache ~n)
-    | Kernel.Trie -> Kernel.warm_trie ?obs ~nprocs:n ()
-  done;
+  Engine.warm_census ?obs cache ~kernel ~cap;
   let send msg = Frame.write fd (Api.Worker.msg_to_string msg) in
   let recv () =
     match Frame.read fd with
@@ -47,32 +43,21 @@ let run ?obs ?(stride = 32) ?(throttle_us = 0) ?(crash_after = 0)
     | Frame.Bad _ -> raise (Bye 70)
   in
   (* Under symmetry reduction the coordinator leases canonical-class
-     ranks: the worker derives the same deterministic representative
-     list, decides [reps.(rank)] and weights the verdict by
-     [orbits.(rank)] — exactly the sym sweep of [Engine.census]. *)
-  let sym_classes =
-    if config.Api.Config.sym then
-      Some
-        (Sym.classes
-           (Sym.make ~values:space.Synth.num_values ~ops:space.Synth.num_rws
-              ~responses:space.Synth.num_responses))
-    else None
-  in
+     ranks: the worker derives the same deterministic rank space, decides
+     each rank's representative and weights the verdict by its orbit —
+     exactly the sym sweep of [Engine.census]. *)
+  let rs = Engine.census_ranks ~sym:config.Api.Config.sym space in
   let tables = Atomic.make 0 in
   let decide rank =
-    let idx =
-      match sym_classes with Some (reps, _) -> reps.(rank) | None -> rank
+    let ty =
+      Synth.to_objtype (Census.genome_of_index space (Engine.table_of_rank rs rank))
     in
-    let ty = Synth.to_objtype (Census.genome_of_index space idx) in
     let levels = Engine.census_levels ?obs cache ~kernel ~cap ty in
     if throttle_us > 0 then
       Obs.Clock.sleep (float_of_int throttle_us /. 1_000_000.);
     if crash_after > 0 && 1 + Atomic.fetch_and_add tables 1 >= crash_after then
       crash_self ();
     levels
-  in
-  let weight rank =
-    match sym_classes with Some (_, orbits) -> orbits.(rank) | None -> 1
   in
   let process pool ~lease ~lo ~hi ~stop_at =
     let hist : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
@@ -109,7 +94,9 @@ let run ?obs ?(stride = 32) ?(throttle_us = 0) ?(crash_after = 0)
             for k = a to b - 1 do
               batch.(k) <- decide (base + k)
             done);
-        Array.iteri (fun k lv -> bump lv (weight (base + k))) batch;
+        Array.iteri
+          (fun k lv -> bump lv (rs.Engine.weight ~lo:(base + k) ~hi:(base + k + 1)))
+          batch;
         cur := next;
         if !cur < !stop && not (Obs.Clock.expired stop_at) then exchange ()
       end

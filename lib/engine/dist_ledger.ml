@@ -1,6 +1,7 @@
-(* Append-only lease ledger of a distributed census.  On-disk format,
-   one record after another, nothing else in the file (the shared
-   Fsio.Record discipline):
+(* Append-only progress ledger of a census — the distributed
+   coordinator's lease log and the in-process engine's checkpoint, one
+   format for both.  On-disk format, one record after another, nothing
+   else in the file (the shared Fsio.Record discipline):
 
      rcndist2 <kind> <payload_bytes> <crc32hex>\n
      <payload>\n
@@ -15,7 +16,10 @@
    rcndist2 bumped the magic when records grew the CRC field: an
    rcndist1 file's records fail the magic check, so the scanner keeps
    none of them — the ledger restarts from scratch rather than being
-   misparsed, the same policy as the rcnstore3 bump. *)
+   misparsed, the same policy as the rcnstore3 bump.  The retired v2
+   in-process checkpoint format (a plain header line, then CRC'd
+   "index discerning recording crc" text lines) fails the magic check
+   the same way, so resuming one recomputes the census. *)
 
 let magic = "rcndist2"
 
@@ -296,3 +300,86 @@ let close t =
     t.closed <- true;
     Fsio.close t.log
   end
+
+(* The one trust predicate for a Done range: in range, disjoint from
+   every rank already in [covered] (decided, or quarantined by a live
+   coordinator), and counts summing to its weight.  A trusted range is
+   marked and merged into [hist]. *)
+let absorb ~covered ~hist ~weight ~lo ~hi entries =
+  let free () =
+    let ok = ref true in
+    for i = lo to hi - 1 do
+      if Bytes.get covered i <> '\000' then ok := false
+    done;
+    !ok
+  in
+  lo >= 0 && hi <= Bytes.length covered && lo < hi && free ()
+  && List.fold_left (fun a (_, _, c) -> a + c) 0 entries = weight ~lo ~hi
+  && begin
+       Bytes.fill covered lo (hi - lo) '\001';
+       List.iter
+         (fun (d, r, c) ->
+           Hashtbl.replace hist (d, r)
+             (c + Option.value ~default:0 (Hashtbl.find_opt hist (d, r))))
+         entries;
+       true
+     end
+
+(* Fold the Done records of a replayed ledger into a coverage bitmap and
+   histogram, ignoring any record [absorb] does not trust — the paranoid
+   read that makes resume trust only self-consistent results.
+   [weight ~lo ~hi] is the number of tables the range accounts for: its
+   width normally, the sum of its orbit sizes under symmetry reduction
+   (where ranks are canonical classes and one verdict counts a whole
+   orbit). *)
+let replay_done ~total ~weight records =
+  let covered = Bytes.make total '\000' in
+  let hist = Hashtbl.create 64 in
+  let covered_n = ref 0 in
+  let deaths = ref 0 in
+  List.iter
+    (function
+      | Done { lo; hi; entries } ->
+          if absorb ~covered ~hist ~weight ~lo ~hi entries then
+            covered_n := !covered_n + weight ~lo ~hi
+      | Death _ -> incr deaths
+      | _ -> ())
+    records;
+  (covered, hist, !covered_n, !deaths)
+
+let gaps_of covered total =
+  let gaps = ref [] in
+  let i = ref 0 in
+  while !i < total do
+    if Bytes.get covered !i = '\000' then begin
+      let j = ref !i in
+      while !j < total && Bytes.get covered !j = '\000' do
+        incr j
+      done;
+      gaps := (!i, !j) :: !gaps;
+      i := !j
+    end
+    else incr i
+  done;
+  List.rev !gaps
+
+type plan = {
+  plan_total : int;
+  plan_covered : int;
+  plan_entries : Census.entry list;
+  plan_gaps : (int * int) list;
+  plan_deaths : int;
+}
+
+let plan_of_ledger ~expected ~total path =
+  let records, _torn = load path ~expected in
+  let covered, hist, covered_n, deaths =
+    replay_done ~total ~weight:(fun ~lo ~hi -> hi - lo) records
+  in
+  {
+    plan_total = total;
+    plan_covered = covered_n;
+    plan_entries = Census.of_histogram hist;
+    plan_gaps = gaps_of covered total;
+    plan_deaths = deaths;
+  }

@@ -1,5 +1,7 @@
-(** The crash-safe lease ledger of a distributed census — the
-    coordinator's only durable state.
+(** The crash-safe progress log of a census — the one durable format
+    for both the distributed coordinator ([rcn census --workers N
+    --ledger F]) and the in-process engine ([rcn census --checkpoint
+    F]), so either can resume a file the other wrote.
 
     An append-only log in the shared [Fsio.Record] discipline
     ([rcndist2 <kind> <len> <crc32hex>\n<payload>\n]); recovery scans
@@ -12,21 +14,25 @@
     count, so a stale ledger from a different census is rejected rather
     than merged.
 
-    Only {!record.Done} records carry results; everything else
-    ({!record.Grant}, {!record.Expire}, {!record.Steal},
-    {!record.Death}, {!record.Quarantine}) is an audit trail of the
-    failure model — what was leased, what expired, what was stolen, who
-    died — that resume deliberately ignores: a recovering coordinator
-    trusts only completed ranges and re-leases everything else,
-    including previously quarantined ranges (a fresh incarnation gets a
-    fresh retry budget). *)
+    Only {!record.Done} records carry results, and only {!replay_done}
+    decides which of them to trust; everything else ({!record.Grant},
+    {!record.Expire}, {!record.Steal}, {!record.Death},
+    {!record.Quarantine}) is an audit trail of the distributed failure
+    model — what was leased, what expired, what was stolen, who died —
+    that resume deliberately ignores: a recovering census trusts only
+    completed ranges and recomputes everything else, including
+    previously quarantined ranges (a fresh incarnation gets a fresh
+    retry budget).  The in-process engine writes only the header and
+    [Done] records. *)
 
 type record =
   | Header of string  (** the exact {!header} line of this census *)
   | Grant of { lease : int; lo : int; hi : int; worker : int }
   | Done of { lo : int; hi : int; entries : (int * int * int) list }
-      (** histogram of the decided range: (discerning, recording, count)
-          triples summing to [hi - lo] *)
+      (** histogram of the decided ranks [\[lo, hi)]: (discerning,
+          recording, count) triples summing to the tables the range
+          accounts for ([hi - lo], or its orbit sizes under symmetry
+          reduction) *)
   | Expire of { lease : int; lo : int; hi : int; worker : int }
       (** the lease was revoked — missed heartbeats or worker death *)
   | Steal of { lease : int; victim : int; at : int; hi : int }
@@ -38,7 +44,9 @@ type record =
 val magic : string
 (** ["rcndist2"] — bumped from [rcndist1] when records grew the CRC
     field; old-format records fail the magic check and are dropped
-    wholesale on replay, like a torn tail. *)
+    wholesale on replay, like a torn tail.  The same holds for the
+    retired v2 in-process checkpoint format (CRC'd text lines): its
+    bytes are dropped and the census recomputed. *)
 
 val header : ?sym_classes:int -> space:Synth.space -> cap:int -> total:int -> unit -> string
 (** The exact header payload a ledger for this census must carry.
@@ -97,3 +105,48 @@ val degraded : t -> string option
 (** The sticky append-failure reason, if the ledger is degraded. *)
 
 val close : t -> unit
+
+val absorb :
+  covered:Bytes.t ->
+  hist:(int * int, int) Hashtbl.t ->
+  weight:(lo:int -> hi:int -> int) ->
+  lo:int ->
+  hi:int ->
+  (int * int * int) list ->
+  bool
+(** The trust predicate for one [Done] range, shared by {!replay_done}
+    and the live coordinator: [true] iff [\[lo, hi)] lies in range,
+    overlaps no rank already marked in [covered], and its counts sum to
+    [weight ~lo ~hi] — in which case the ranks are marked ['\001'] and
+    the counts added to [hist]. *)
+
+val replay_done :
+  total:int ->
+  weight:(lo:int -> hi:int -> int) ->
+  record list ->
+  Bytes.t * (int * int, int) Hashtbl.t * int * int
+(** The paranoid resume fold: [(covered, histogram, covered_weight,
+    deaths)] over ranks [\[0, total)].  Each {!record.Done} in file order
+    goes through {!absorb} (so of two overlapping records the first
+    wins); [weight ~lo ~hi] is the tables a range accounts for — its
+    width normally, its orbit-size sum under symmetry reduction.  Other
+    records are ignored, except that {!record.Death}s are counted. *)
+
+val gaps_of : Bytes.t -> int -> (int * int) list
+(** The uncovered [(lo, hi)] ranges of a {!replay_done} bitmap, sorted. *)
+
+type plan = {
+  plan_total : int;
+  plan_covered : int;  (** ranks proven decided by disjoint Done records *)
+  plan_entries : Census.entry list;
+  plan_gaps : (int * int) list;  (** uncovered [(lo, hi)] ranges, sorted *)
+  plan_deaths : int;  (** Death records in the ledger *)
+}
+
+val plan_of_ledger : expected:string -> total:int -> string -> plan
+(** What a recovering census would trust from the ledger at [path]: the
+    {!replay_done} fold of its records (unit weights).  Pure read — the
+    file is not modified.  The truncate-at-every-offset recovery tests
+    and the soaks' final audits are built on this.
+    @raise Fsio.Corrupt on mid-log corruption.
+    @raise Invalid_argument on a ledger from a different census. *)

@@ -516,6 +516,55 @@ let census_levels ?obs cache ~kernel ~cap ty =
   in
   (level Decide.Discerning, level Decide.Recording)
 
+type census_ranks = {
+  ranks : int;
+  reps : int array option;
+  weight : lo:int -> hi:int -> int;
+}
+
+(* Symmetry reduction: enumerate the canonical representative of every
+   isomorphism class once, decide only those, and let each verdict count
+   [orbit] tables in the histogram.  The scan is sequential and
+   deterministic, so every process that performs it (this engine, the
+   distributed coordinator, each worker) derives the identical rank
+   space. *)
+let census_ranks ?obs ~sym space =
+  if not sym then
+    { ranks = Census.space_size space; reps = None; weight = (fun ~lo ~hi -> hi - lo) }
+  else begin
+    let t0 = Obs.Clock.now () in
+    let s =
+      Sym.make ~values:space.Synth.num_values ~ops:space.Synth.num_rws
+        ~responses:space.Synth.num_responses
+    in
+    let reps, orbits = Sym.classes s in
+    (match obs with
+    | None -> ()
+    | Some o ->
+        Obs.Metrics.Counter.add (Obs.counter o "sym.classes") (Array.length reps);
+        Obs.Metrics.Counter.add (Obs.counter o "sym.orbit_max")
+          (Array.fold_left max 0 orbits);
+        Obs.Metrics.Counter.add (Obs.counter o "sym.canon_ns")
+          (int_of_float ((Obs.Clock.now () -. t0) *. 1e9)));
+    (* weight-prefix sums: [wsum.(i)] tables live below rank [i] *)
+    let ranks = Array.length reps in
+    let wsum = Array.make (ranks + 1) 0 in
+    Array.iteri (fun i w -> wsum.(i + 1) <- wsum.(i) + w) orbits;
+    assert (wsum.(ranks) = Census.space_size space);
+    { ranks; reps = Some reps; weight = (fun ~lo ~hi -> wsum.(hi) - wsum.(lo)) }
+  end
+
+let table_of_rank rs i = match rs.reps with Some reps -> reps.(i) | None -> i
+
+(* Warm the shared per-[n] structures (schedule memo / compiled tries)
+   on the submitting domain so workers only read. *)
+let warm_census ?obs cache ~kernel ~cap =
+  for n = 2 to cap do
+    match kernel with
+    | Kernel.Reference -> ignore (Cache.scheds cache ~n)
+    | Kernel.Trie -> Kernel.warm_trie ?obs ~nprocs:n ()
+  done
+
 type census_run = {
   entries : Census.entry list;
   total : int;
@@ -525,113 +574,8 @@ type census_run = {
   storage_error : string option;
 }
 
-(* Census checkpoints: a header line pinning the space, cap and size, then
-   one "index discerning recording crc32hex" line per decided table.
-   Lines are appended chunk-wise under a mutex and flushed, so a process
-   killed mid-run leaves at most one torn trailing line, which the
-   loader drops (and the writer truncates before resuming appends).
-
-   v2 added the per-line CRC, so replay distinguishes the torn tail
-   (truncate) from a complete line that is malformed or fails its CRC —
-   that is mid-file corruption, and the loader raises [Fsio.Corrupt]
-   with the offset instead of silently skipping decided work.  A v1
-   checkpoint fails the header comparison and is rejected like any
-   other census mismatch. *)
-module Checkpoint = struct
-  let header ~space ~cap ~total =
-    Printf.sprintf "rcn-census-checkpoint v2 values=%d rws=%d responses=%d cap=%d total=%d"
-      space.Synth.num_values space.Synth.num_rws space.Synth.num_responses cap total
-
-  (* A symmetry-reduced census records canonical-class ranks, not table
-     indices — the suffix makes its checkpoints reject cross-mode resume
-     in both directions. *)
-  let header_sym ~space ~cap ~total ~classes =
-    Printf.sprintf "%s sym=1 classes=%d" (header ~space ~cap ~total) classes
-
-  let line i d r =
-    let body = Printf.sprintf "%d %d %d" i d r in
-    Printf.sprintf "%s %s\n" body (Fsio.Crc32.to_hex (Fsio.Crc32.string body))
-
-  (* Parse the whole file: [(entries, good)] where [good] is the offset
-     just past the last complete valid line (what a resuming writer
-     truncates to).  A torn (unterminated) last line is dropped; a
-     {e terminated} line that is malformed or fails its CRC raises
-     [Fsio.Corrupt] — it was acknowledged whole, so it can only be
-     corruption, never a crash artifact. *)
-  let parse ~path ~expected contents =
-    let n = String.length contents in
-    match String.index_opt contents '\n' with
-    | None -> ([], 0) (* torn (or empty) header: nothing recoverable *)
-    | Some hnl ->
-        let h = String.sub contents 0 hnl in
-        if String.trim h <> expected then
-          invalid_arg
-            (Printf.sprintf
-               "Engine.census: checkpoint %s belongs to a different census\n  found:    %s\n  expected: %s"
-               path (String.trim h) expected);
-        let acc = ref [] in
-        let good = ref (hnl + 1) in
-        let pos = ref (hnl + 1) in
-        (try
-           while !pos < n do
-             match String.index_from_opt contents !pos '\n' with
-             | None -> raise Exit (* torn last line: drop *)
-             | Some nl ->
-                 let line = String.sub contents !pos (nl - !pos) in
-                 (match String.split_on_char ' ' (String.trim line) with
-                 | [ a; b; c; crc ] -> (
-                     match
-                       ( int_of_string_opt a,
-                         int_of_string_opt b,
-                         int_of_string_opt c )
-                     with
-                     | Some i, Some d, Some r ->
-                         let body = Printf.sprintf "%d %d %d" i d r in
-                         if
-                           crc
-                           <> Fsio.Crc32.to_hex (Fsio.Crc32.string body)
-                         then
-                           raise
-                             (Fsio.Corrupt
-                                {
-                                  path;
-                                  offset = !pos;
-                                  reason = "checkpoint line CRC mismatch";
-                                });
-                         acc := (i, (d, r)) :: !acc
-                     | _ ->
-                         raise
-                           (Fsio.Corrupt
-                              {
-                                path;
-                                offset = !pos;
-                                reason = "malformed checkpoint line";
-                              }))
-                 | _ ->
-                     raise
-                       (Fsio.Corrupt
-                          {
-                            path;
-                            offset = !pos;
-                            reason = "malformed checkpoint line";
-                          }));
-                 pos := nl + 1;
-                 good := !pos
-           done
-         with Exit -> ());
-        (List.rev !acc, !good)
-
-  (* Entries come back in file order, so a consumer that keeps the first
-     occurrence of an index (as [census ~resume] does) resolves duplicate
-     lines in favor of the earliest append.  Torn trailing lines are
-     dropped; out-of-range indices are the consumer's concern (the
-     header already pins [total]).  @raise Fsio.Corrupt *)
-  let load path ~expected =
-    if not (Sys.file_exists path) then []
-    else
-      let contents = In_channel.with_open_bin path In_channel.input_all in
-      fst (parse ~path ~expected contents)
-end
+let add_count hist key w =
+  Hashtbl.replace hist key (w + Option.value ~default:0 (Hashtbl.find_opt hist key))
 
 let census ?cache ?obs ?supervisor ?checkpoint ?(resume = false) ?(durable = false)
     ?injector ~(config : Api.Config.t) pool space =
@@ -644,107 +588,80 @@ let census ?cache ?obs ?supervisor ?checkpoint ?(resume = false) ?(durable = fal
   let c_tables = Option.map (fun o -> Obs.counter o "census.tables") obs in
   let c_flushes = Option.map (fun o -> Obs.counter o "census.checkpoint_flushes") obs in
   let c_skips = Option.map (fun o -> Obs.counter o "census.resume_skips") obs in
-  (* Symmetry reduction: enumerate the canonical representative of every
-     isomorphism class once, decide only those, and let each verdict
-     count [orbit] tables in the histogram.  The scan is sequential and
-     deterministic, so every process that performs it (this engine, the
-     distributed coordinator, each worker) derives the identical
-     rank space. *)
-  let sym_classes =
-    if config.Api.Config.sym then begin
-      let t0 = Obs.Clock.now () in
-      let s =
-        Sym.make ~values:space.Synth.num_values ~ops:space.Synth.num_rws
-          ~responses:space.Synth.num_responses
-      in
-      let reps, orbits = Sym.classes s in
-      (match obs with
-      | None -> ()
-      | Some o ->
-          Obs.Metrics.Counter.add (Obs.counter o "sym.classes") (Array.length reps);
-          Obs.Metrics.Counter.add (Obs.counter o "sym.orbit_max")
-            (Array.fold_left max 0 orbits);
-          Obs.Metrics.Counter.add (Obs.counter o "sym.canon_ns")
-            (int_of_float ((Obs.Clock.now () -. t0) *. 1e9)));
-      Some (reps, orbits)
-    end
-    else None
-  in
   (* The sweep below runs over "ranks": table indices normally, class
      ranks under [--sym].  [resumed]/[completed]/the histogram stay in
      table units either way, so summaries are mode-independent. *)
-  let ranks = match sym_classes with Some (reps, _) -> Array.length reps | None -> size in
-  let index_of_rank i = match sym_classes with Some (reps, _) -> reps.(i) | None -> i in
-  let weight i = match sym_classes with Some (_, orbits) -> orbits.(i) | None -> 1 in
-  (* Warm the shared per-[n] structures (schedule memo / compiled tries)
-     on the submitting domain so workers only read. *)
-  for n = 2 to cap do
-    match kernel with
-    | Kernel.Reference -> ignore (Cache.scheds cache ~n)
-    | Kernel.Trie -> Kernel.warm_trie ?obs ~nprocs:n ()
-  done;
+  let rs = census_ranks ?obs ~sym:config.Api.Config.sym space in
+  let ranks = rs.ranks in
+  let weight i = rs.weight ~lo:i ~hi:(i + 1) in
+  warm_census ?obs cache ~kernel ~cap;
+  (* The checkpoint is a census ledger: a header, then one [Done] record
+     per run of freshly decided ranks.  Resume trusts exactly what
+     [Dist_ledger.replay_done] trusts, so a file written here and one
+     written by the distributed coordinator resume each other. *)
+  let ledger =
+    Option.map
+      (fun path ->
+        let expected =
+          Dist_ledger.header
+            ?sym_classes:(Option.map (fun _ -> ranks) rs.reps)
+            ~space ~cap ~total:size ()
+        in
+        Dist_ledger.open_ledger ?obs ?injector ~fsync:durable ~expected ~resume path)
+      checkpoint
+  in
+  let covered, histogram, resumed =
+    match ledger with
+    | Some (_, records) ->
+        let covered, hist, n, _ =
+          Dist_ledger.replay_done ~total:ranks ~weight:rs.weight records
+        in
+        (covered, hist, n)
+    | None -> (Bytes.make ranks '\000', Hashtbl.create 64, 0)
+  in
+  count_checked c_skips resumed;
   let levels = Array.make ranks (0, 0) in
-  let finished = Array.make ranks false in
-  let resumed = ref 0 in
-  let expected =
-    match sym_classes with
-    | Some _ -> Checkpoint.header_sym ~space ~cap ~total:size ~classes:ranks
-    | None -> Checkpoint.header ~space ~cap ~total:size
+  let finished = Array.init ranks (fun i -> Bytes.get covered i <> '\000') in
+  let completed = Atomic.make resumed in
+  let m = Mutex.create () in
+  (* Append one [Done] per maximal run of ranks in [\[lo, stop)] not yet
+     in the file — every such rank is decided by now, so a chunk cut by
+     the deadline records exactly its decided prefix — and mark them
+     ['\002'] in [covered] (['\001'] is resumed), so a chunk re-run by
+     a supervisor retry or a watchdog round never records a rank twice.
+     A failed append degrades the ledger (sticky, counted) instead of
+     raising: the census finishes in memory and reports
+     [storage_error]. *)
+  let record_chunk led lo stop =
+    let i = ref lo in
+    while !i < stop do
+      if Bytes.get covered !i <> '\000' then incr i
+      else begin
+        let a = !i in
+        let hist = Hashtbl.create 8 in
+        while !i < stop && Bytes.get covered !i = '\000' do
+          add_count hist levels.(!i) (weight !i);
+          Bytes.set covered !i '\002';
+          incr i
+        done;
+        let entries =
+          List.map
+            (fun (e : Census.entry) ->
+              (e.Census.discerning, e.Census.recording, e.Census.count))
+            (Census.of_histogram hist)
+        in
+        Mutex.protect m (fun () ->
+            Dist_ledger.append led (Dist_ledger.Done { lo = a; hi = !i; entries });
+            if Dist_ledger.degraded led = None then
+              Option.iter Obs.Metrics.Counter.incr c_flushes)
+      end
+    done
   in
-  (match checkpoint with
-  | Some path when resume ->
-      List.iter
-        (fun (i, lv) ->
-          if i >= 0 && i < ranks && not finished.(i) then begin
-            levels.(i) <- lv;
-            finished.(i) <- true;
-            resumed := !resumed + weight i
-          end)
-        (Checkpoint.load path ~expected)
-  | _ -> ());
-  count_checked c_skips !resumed;
-  (* The checkpoint writer appends through Fsio: whole-chunk appends,
-     fsync'd when [durable].  A failed append flips the run into a
-     sticky storage-degraded mode — the census finishes in memory and
-     reports [storage_error], which callers surface exactly like a
-     quarantined chunk (honest At_least / PARTIAL), never a crash and
-     never a silent success. *)
-  let storage_error = ref None in
-  let writer =
-    match checkpoint with
-    | None -> None
-    | Some path ->
-        let log = Fsio.open_log ?injector path in
-        (match
-           let contents = Fsio.contents log in
-           if resume then begin
-             let _, good = Checkpoint.parse ~path ~expected contents in
-             (* Truncate the torn tail {e before} appending: the v1
-                writer reopened in append mode, so its first fresh line
-                could glue onto a torn half-line and lose both. *)
-             if good < String.length contents then Fsio.truncate log good;
-             good
-           end
-           else begin
-             if String.length contents > 0 then Fsio.truncate log 0;
-             0
-           end
-         with
-        | exception e ->
-            (try Fsio.close log with Fsio.Io_error _ -> ());
-            raise e
-        | 0 ->
-            Fsio.append log (expected ^ "\n");
-            if durable then Fsio.fsync log
-        | _ -> ());
-        Some (log, Mutex.create ())
-  in
-  let completed = Atomic.make !resumed in
   Fun.protect
     ~finally:(fun () ->
       Option.iter
-        (fun (log, _) -> try Fsio.close log with Fsio.Io_error _ -> ())
-        writer)
+        (fun (led, _) -> try Dist_ledger.close led with Fsio.Io_error _ -> ())
+        ledger)
     (fun () ->
       with_watchdog ?supervisor ~chunk:32 @@ fun ~chunk ~wd_stop ->
       ignore
@@ -752,60 +669,36 @@ let census ?cache ?obs ?supervisor ?checkpoint ?(resume = false) ?(durable = fal
            ~should_stop:(fun () -> expired deadline || wd_stop ())
            ranks
            (fun lo hi ->
-             let fresh = ref [] in
+             let fresh = ref 0 and fresh_weight = ref 0 in
              let i = ref lo in
              while !i < hi && not (expired deadline) do
                if not finished.(!i) then begin
                  let ty =
-                   Synth.to_objtype (Census.genome_of_index space (index_of_rank !i))
+                   Synth.to_objtype (Census.genome_of_index space (table_of_rank rs !i))
                  in
                  levels.(!i) <- census_levels ?obs cache ~kernel ~cap ty;
                  finished.(!i) <- true;
-                 fresh := !i :: !fresh
+                 incr fresh;
+                 fresh_weight := !fresh_weight + weight !i
                end;
                incr i
              done;
-             let fresh = List.rev !fresh in
-             let n_fresh = List.length fresh in
-             ignore
-               (Atomic.fetch_and_add completed
-                  (List.fold_left (fun acc i -> acc + weight i) 0 fresh));
-             count_checked c_tables n_fresh;
-             match writer with
-             | None -> ()
-             | Some (log, m) ->
-                 if fresh <> [] then
-                   Mutex.protect m (fun () ->
-                       if !storage_error = None then
-                         match
-                           let buf = Buffer.create 64 in
-                           List.iter
-                             (fun i ->
-                               let d, r = levels.(i) in
-                               Buffer.add_string buf (Checkpoint.line i d r))
-                             fresh;
-                           Fsio.append log (Buffer.contents buf);
-                           if durable then Fsio.fsync log
-                         with
-                         | () ->
-                             Option.iter Obs.Metrics.Counter.incr c_flushes
-                         | exception (Fsio.Io_error _ as e) ->
-                             storage_error := Fsio.error_message e))));
-  let histogram = Hashtbl.create 64 in
+             ignore (Atomic.fetch_and_add completed !fresh_weight);
+             count_checked c_tables !fresh;
+             Option.iter (fun (led, _) -> record_chunk led lo !i) ledger)));
   Array.iteri
     (fun i key ->
-      if finished.(i) then
-        Hashtbl.replace histogram key
-          (weight i + Option.value ~default:0 (Hashtbl.find_opt histogram key)))
+      if finished.(i) && Bytes.get covered i <> '\001' then
+        add_count histogram key (weight i))
     levels;
   let completed = Atomic.get completed in
   {
     entries = Census.of_histogram histogram;
     total = size;
     completed;
-    resumed = !resumed;
+    resumed;
     complete = completed = size;
-    storage_error = !storage_error;
+    storage_error = Option.bind ledger (fun (led, _) -> Dist_ledger.degraded led);
   }
 
 let synth_portfolio ?(seed = 0) ?max_iterations ?restart_every ?obs ?supervisor

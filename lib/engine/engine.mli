@@ -239,6 +239,26 @@ val census_levels :
     Deliberately uncached per type: census tables are pairwise
     distinct, so an outcome memo would only grow. *)
 
+type census_ranks = {
+  ranks : int;  (** ranks the sweep runs over: tables, or classes under [sym] *)
+  reps : int array option;  (** under [sym], each rank's table index *)
+  weight : lo:int -> hi:int -> int;
+      (** tables ranks [\[lo, hi)] account for: the width, or the orbit
+          sizes' sum under [sym] ([Dist_ledger.replay_done]'s weight) *)
+}
+
+val census_ranks : ?obs:Obs.t -> sym:bool -> Synth.space -> census_ranks
+(** The rank space {!census}, the distributed coordinator and its
+    workers all shard and weigh.  With [sym], one rank per isomorphism
+    class ([Sym.classes], deterministic); with [obs], counts
+    [sym.classes], [sym.orbit_max] and [sym.canon_ns]. *)
+
+val table_of_rank : census_ranks -> int -> int
+
+val warm_census : ?obs:Obs.t -> Cache.t -> kernel:Kernel.mode -> cap:int -> unit
+(** Build what {!census_levels} reads (schedule sets or compiled tries)
+    on the calling domain, before any fan-out. *)
+
 type census_run = {
   entries : Census.entry list;  (** histogram over the *decided* tables *)
   total : int;  (** tables in the space *)
@@ -246,46 +266,11 @@ type census_run = {
   resumed : int;  (** tables loaded from the checkpoint file *)
   complete : bool;  (** [completed = total] *)
   storage_error : string option;
-      (** the checkpoint writer's sticky append failure, if any: decided
+      (** the checkpoint ledger's sticky append failure, if any: decided
           tables past the failure were never made durable, so callers
           must report the run degraded (like a quarantined chunk) even
           when [complete] *)
 }
-
-(** The census checkpoint file format (v2), exposed for tests and
-    tooling: a header line pinning space, cap and table count, then one
-    ["index discerning recording crc32hex"] line per decided table.  The
-    per-line CRC lets the loader tell a torn trailing line (a killed
-    writer — dropped, and truncated by a resuming writer) from a
-    complete line that is malformed or fails its CRC (mid-file
-    corruption — a hard [Fsio.Corrupt] with the offset, never silently
-    skipped).  A v1 checkpoint fails the header comparison and is
-    rejected like any other census mismatch. *)
-module Checkpoint : sig
-  val header : space:Synth.space -> cap:int -> total:int -> string
-  (** The exact first line a checkpoint for this census must carry. *)
-
-  val line : int -> int -> int -> string
-  (** The exact bytes the writer appends for one decided table
-      (newline-terminated) — exposed so tests can compute torn-tail
-      boundaries and corrupt lines precisely. *)
-
-  val parse :
-    path:string -> expected:string -> string -> (int * (int * int)) list * int
-  (** Parse checkpoint file [contents]: the decided entries in file
-      order plus the offset just past the last complete valid line (what
-      a resuming writer truncates to).  [path] only labels errors.
-      @raise Fsio.Corrupt on a complete line failing its CRC or shape.
-      @raise Invalid_argument when the header differs from [expected]. *)
-
-  val load : string -> expected:string -> (int * (int * int)) list
-  (** Decided [(index, (discerning, recording))] entries, in file order —
-      so a first-occurrence-wins consumer resolves duplicated indices in
-      favor of the earliest append.  A missing file is empty; a torn
-      trailing line from a killed writer is dropped.
-      @raise Fsio.Corrupt on mid-file corruption.
-      @raise Invalid_argument when the header differs from [expected]. *)
-end
 
 val census :
   ?cache:Cache.t ->
@@ -304,26 +289,30 @@ val census :
     when [complete], the histogram is identical to the sequential census
     at any job count.
 
-    [checkpoint] appends every decided table's levels to the given file
-    (chunk-wise, flushed, safe against [kill -9]; the header pins space,
-    cap and size so a stale file from a different census is rejected).
-    [resume] (with [checkpoint]) first loads previously decided tables
-    from that file and skips them — an interrupted census restarted with
-    the same parameters recomputes only the missing tail and produces the
-    identical histogram.  [durable] (default [false]) additionally
-    [fsync]s the checkpoint after every append, extending the crash-safety
-    guarantee from process death to machine death at the cost of one disk
-    round trip per flushed chunk.  [config.deadline] stops the sweep
-    cooperatively; the returned record says exactly how far it got.
-    [supervisor] heals failing chunks as in {!search_within}; tables in a
-    quarantined chunk stay undecided, so [complete] is honestly [false].
+    [checkpoint] names a {!Dist_ledger} file, the format the
+    distributed coordinator writes: a header pinning space, cap and size
+    (a stale file from another census is rejected with
+    [Invalid_argument]), then one [Done] record per maximal run of ranks
+    a pool chunk decided, flushed as it finishes ([kill -9]-safe).
+    [resume] (with [checkpoint]) replays the file through
+    [Dist_ledger.replay_done] and recomputes only the gaps, for the
+    identical histogram; [rcn census --workers N --ledger F --resume]
+    finishes such a file too, and vice versa.  An older format (a v2
+    checkpoint) fails the ledger magic and is dropped like a torn tail.
+    [durable] (default [false]) [fsync]s every append, extending crash
+    safety from process death to machine death.  [config.deadline]
+    stops the sweep cooperatively; the returned record says exactly how
+    far it got.  [supervisor] heals failing chunks as in
+    {!search_within}; tables in a quarantined chunk stay undecided, so
+    [complete] is honestly [false].
 
     Checkpoint I/O goes through {!Fsio} ([injector] routes it through a
-    fault plan for the crashtest harness).  A checkpoint append that
-    fails does {e not} abort the sweep: the writer goes sticky-degraded,
-    the census finishes in memory, and [storage_error] reports the
-    failure so callers degrade the run to honest At_least/PARTIAL
-    exactly like a quarantined chunk. *)
+    fault plan).  Opening an unusable or corrupt file raises
+    [Fsio.Io_error] / [Fsio.Corrupt]; an append that fails later does
+    {e not} abort the sweep: the ledger goes sticky-degraded, the census
+    finishes in memory, and [storage_error] reports the failure so
+    callers degrade the run to honest At_least/PARTIAL exactly like a
+    quarantined chunk. *)
 
 val synth_portfolio :
   ?seed:int ->

@@ -131,7 +131,7 @@ let test_ledger_header () =
      with Invalid_argument _ -> true);
   check_bool "plan_of_ledger rejects a foreign ledger" true
     (try
-       ignore (Dist.plan_of_ledger ~expected:foreign ~total path);
+       ignore (Dist_ledger.plan_of_ledger ~expected:foreign ~total path);
        false
      with Invalid_argument _ -> true);
   (* A missing file is an empty ledger. *)
@@ -198,24 +198,24 @@ let test_ledger_truncate_every_offset () =
         (fun i _ -> List.nth boundaries (i + 1) <= cut)
         records
     in
-    let plan = Dist.plan_of_ledger ~expected:h ~total cut_path in
-    check_int (Printf.sprintf "cut at %d: total" cut) total plan.Dist.plan_total;
+    let plan = Dist_ledger.plan_of_ledger ~expected:h ~total cut_path in
+    check_int (Printf.sprintf "cut at %d: total" cut) total plan.Dist_ledger.plan_total;
     check_int
       (Printf.sprintf "cut at %d: covered = sum of surviving Done widths" cut)
       (List.fold_left (fun a r -> a + done_width r) 0 kept)
-      plan.Dist.plan_covered;
+      plan.Dist_ledger.plan_covered;
     check_int
       (Printf.sprintf "cut at %d: histogram counts sum to covered" cut)
-      plan.Dist.plan_covered
-      (List.fold_left (fun a e -> a + e.Census.count) 0 plan.Dist.plan_entries);
+      plan.Dist_ledger.plan_covered
+      (List.fold_left (fun a e -> a + e.Census.count) 0 plan.Dist_ledger.plan_entries);
     check_int
       (Printf.sprintf "cut at %d: gaps complement the coverage" cut)
-      (total - plan.Dist.plan_covered)
-      (List.fold_left (fun a (lo, hi) -> a + (hi - lo)) 0 plan.Dist.plan_gaps);
+      (total - plan.Dist_ledger.plan_covered)
+      (List.fold_left (fun a (lo, hi) -> a + (hi - lo)) 0 plan.Dist_ledger.plan_gaps);
     check_int
       (Printf.sprintf "cut at %d: deaths counted from surviving records" cut)
       (List.length (List.filter death kept))
-      plan.Dist.plan_deaths
+      plan.Dist_ledger.plan_deaths
   done;
   (* Resume from three crash shapes: nothing survived, a mid-run prefix,
      and a torn final record.  Each must finish the census with the
@@ -235,7 +235,7 @@ let test_ledger_truncate_every_offset () =
       with_ledger_file @@ fun resume_path ->
       Out_channel.with_open_bin resume_path (fun oc ->
           Out_channel.output_string oc (String.sub bytes 0 cut));
-      let before = Dist.plan_of_ledger ~expected:h ~total resume_path in
+      let before = Dist_ledger.plan_of_ledger ~expected:h ~total resume_path in
       let obs = Obs.create () in
       let o =
         Dist.census ~obs ~rcn:rcn_bin ~ledger:resume_path ~resume:true
@@ -244,16 +244,16 @@ let test_ledger_truncate_every_offset () =
       check_identical (Printf.sprintf "resume from cut %d" cut) o;
       check_int
         (Printf.sprintf "resume from cut %d replays the covered ranks" cut)
-        before.Dist.plan_covered o.Dist.resumed;
+        before.Dist_ledger.plan_covered o.Dist.resumed;
       check_int
         (Printf.sprintf "resume from cut %d counts resumed ranks" cut)
-        before.Dist.plan_covered
+        before.Dist_ledger.plan_covered
         (counter obs "dist.ranks_resumed");
-      let after = Dist.plan_of_ledger ~expected:h ~total resume_path in
+      let after = Dist_ledger.plan_of_ledger ~expected:h ~total resume_path in
       check_int (Printf.sprintf "resume from cut %d: ledger fully covered" cut)
-        total after.Dist.plan_covered;
+        total after.Dist_ledger.plan_covered;
       check_bool (Printf.sprintf "resume from cut %d: no gaps left" cut) true
-        (after.Dist.plan_gaps = []))
+        (after.Dist_ledger.plan_gaps = []))
     [ 0; mid; size - 1 ]
 
 (* ---------------------------------------------------------------- *)
@@ -367,6 +367,59 @@ let test_sym_census_bit_identical () =
   check_bool "sym.canon_ns recorded, as in Engine.census" true (counter obs "sym.canon_ns" > 0)
 
 (* ---------------------------------------------------------------- *)
+(* One durable progress format: an in-process checkpoint cut mid-run is
+   finished by the coordinator, and a cut coordinator ledger by the
+   in-process engine — both bit-identical, at one and two jobs, with
+   and without symmetry reduction. *)
+
+let test_cross_resume () =
+  List.iter
+    (fun (jobs, sym) ->
+      let label = Printf.sprintf "jobs=%d sym=%b" jobs sym in
+      let config = Api.Config.v ~cap ~jobs ~sym () in
+      let rs = Engine.census_ranks ~sym space in
+      let sym_classes = if sym then Some rs.Engine.ranks else None in
+      let h = Dist_ledger.header ?sym_classes ~space ~cap ~total () in
+      (* Cut [path] just after its first Done record, as a kill mid-run
+         leaves it; returns the tables the cut file proves decided. *)
+      let cut path =
+        let rec upto = function
+          | (Dist_ledger.Done _ as r) :: _ -> [ r ]
+          | r :: rest -> r :: upto rest
+          | [] -> Alcotest.failf "%s: ledger has no Done record" label
+        in
+        let kept = upto (fst (Dist_ledger.load path ~expected:h)) in
+        Out_channel.with_open_bin path (fun oc ->
+            List.iter (fun r -> Out_channel.output_string oc (Dist_ledger.encode r)) kept);
+        let _, _, covered, _ =
+          Dist_ledger.replay_done ~total:rs.Engine.ranks ~weight:rs.Engine.weight kept
+        in
+        check_bool (label ^ ": the cut keeps trusted progress") true (covered > 0);
+        covered
+      in
+      let engine ~resume path =
+        Pool.with_pool ~jobs (fun pool ->
+            Engine.census ~checkpoint:path ~resume ~config pool space)
+      in
+      let dist ~resume path =
+        Dist.census ~rcn:rcn_bin ~ledger:path ~resume ~fsync:false ~workers:1 ~config space
+      in
+      (with_ledger_file @@ fun path ->
+       ignore (engine ~resume:false path);
+       let covered = cut path in
+       let o = dist ~resume:true path in
+       check_identical (label ^ ": coordinator finishes a checkpoint") o;
+       check_int (label ^ ": coordinator resumes the checkpoint") covered o.Dist.resumed);
+      with_ledger_file @@ fun path ->
+      check_identical (label ^ ": ledger-producing run") (dist ~resume:false path);
+      let covered = cut path in
+      let e = engine ~resume:true path in
+      check_bool (label ^ ": engine finishes a coordinator ledger") true
+        (e.Engine.complete && e.Engine.entries = Lazy.force reference);
+      check_int (label ^ ": engine resumes the ledger") covered e.Engine.resumed)
+    [ (1, false); (2, false); (1, true); (2, true) ]
+
+(* ---------------------------------------------------------------- *)
 (* The deadline regression (once a bug): the wall-clock budget is
    resolved once at the coordinator and shipped as remaining seconds in
    each Assign, so a worker death + respawn mid-run must not extend the
@@ -460,4 +513,6 @@ let suite =
       test_bad_parameters;
     Alcotest.test_case "orphaned worker exits quietly on a reset link" `Quick
       test_orphan_on_reset;
+    Alcotest.test_case "checkpoints and coordinator ledgers resume each other" `Slow
+      test_cross_resume;
   ]

@@ -445,24 +445,25 @@ let test_frame_robustness () =
     (QCheck.Test.make ~count:60 ~name:"random bytes never wedge the daemon"
        (QCheck.make gen) prop)
 
+(* The shipped binary, run silently; returns its exit code. *)
+let cli args =
+  let rcn = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rcn.exe" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid = Unix.create_process rcn (Array.of_list (rcn :: args)) Unix.stdin null null in
+  Unix.close null;
+  match Unix.waitpid [] pid with _, Unix.WEXITED code -> code | _ -> -1
+
 (* Malformed census and synth spaces are usage errors on every surface:
    the daemon answers [err_invalid] with [Api.Request.validate]'s
    message, and the CLI exits 2 — with [--workers] too, which bypasses
-   the dispatcher.  A removed kernel mode is a cmdliner usage error. *)
+   the dispatcher.  So are checkpoint flags that would be silently
+   ignored.  A removed kernel mode is a cmdliner usage error. *)
 let test_malformed_requests_rejected () =
-  let rcn = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rcn.exe" in
-  let cli args =
-    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-    let pid = Unix.create_process rcn (Array.of_list (rcn :: args)) Unix.stdin null null in
-    Unix.close null;
-    match Unix.waitpid [] pid with _, Unix.WEXITED code -> code | _ -> -1
-  in
   let space (v, r, p) = { Synth.num_values = v; num_rws = r; num_responses = p } in
   let config = Api.Config.v ~cap:2 () in
-  let census ?sample dims =
+  let census ?sample ?checkpoint ?(resume = false) ?(durable = false) dims =
     Api.Request.Census
-      { space = space dims; sample; seed = 1; checkpoint = None; resume = false;
-        durable = false; config }
+      { space = space dims; sample; seed = 1; checkpoint; resume; durable; config }
   in
   with_tmpdir @@ fun dir ->
   with_daemon ~dir @@ fun ~obs:_ ~socket ->
@@ -490,6 +491,28 @@ let test_malformed_requests_rejected () =
       ("one value", None, (1, 2, 2));
       ("overflowing space", None, (9, 9, 9));
     ];
+  (* Checkpoint flags that would be silently ignored: a sampled census
+     has no sweep to checkpoint, and resume/durable need a file. *)
+  let ckpt = Filename.concat dir "never-written.ckpt" in
+  List.iter
+    (fun (label, req, args) ->
+      rejected label req ("census" :: "--values=2" :: "--rws=2" :: "--responses=2" :: args);
+      check_bool (label ^ ": no file written") false (Sys.file_exists ckpt))
+    [
+      ( "sample with checkpoint",
+        census ~sample:10 ~checkpoint:ckpt (2, 2, 2),
+        [ "--sample=10"; "--checkpoint=" ^ ckpt ] );
+      ( "sample with resume",
+        census ~sample:10 ~checkpoint:ckpt ~resume:true (2, 2, 2),
+        [ "--sample=10"; "--checkpoint=" ^ ckpt; "--resume" ] );
+      ( "sample with durable",
+        census ~sample:10 ~checkpoint:ckpt ~durable:true (2, 2, 2),
+        [ "--sample=10"; "--checkpoint=" ^ ckpt; "--durable" ] );
+      ("resume without checkpoint", census ~resume:true (2, 2, 2), [ "--resume" ]);
+      ("durable without checkpoint", census ~durable:true (2, 2, 2), [ "--durable" ]);
+    ];
+  check_int "resume without a ledger: CLI exit with --workers" 2
+    (cli [ "census"; "--values=2"; "--rws=2"; "--responses=2"; "--resume"; "--workers=1" ]);
   rejected "synth zero responses"
     (Api.Request.Synth
        { space = space (2, 2, 0); target = 4; seed = 1; iterations = 10;
@@ -499,6 +522,34 @@ let test_malformed_requests_rejected () =
     (cli [ "analyze"; "test-and-set"; "--kernel"; "tables" ]);
   check_bool "a sampled census of a huge space validates" true
     (Result.is_ok (Api.Request.validate (census ~sample:2 (9, 9, 9))))
+
+(* A progress file that cannot be opened, or whose replay finds
+   corruption, is a storage failure (exit 74) on both census paths —
+   the in-process checkpoint and the [--workers] ledger — never an
+   internal error. *)
+let test_bad_progress_files_exit_storage () =
+  with_tmpdir @@ fun dir ->
+  let corrupt = Filename.concat dir "corrupt.ledger" in
+  let space = { Synth.num_values = 2; num_rws = 2; num_responses = 2 } in
+  let header = Dist_ledger.Header (Dist_ledger.header ~space ~cap:3 ~total:256 ()) in
+  let record = Dist_ledger.Done { lo = 0; hi = 2; entries = [ (2, 2, 2) ] } in
+  let bytes = Bytes.of_string (Dist_ledger.encode header ^ Dist_ledger.encode record) in
+  (* the first payload byte of the Done record, covered by its CRC *)
+  let off = Bytes.index_from bytes (String.length (Dist_ledger.encode header)) '\n' + 1 in
+  Bytes.set bytes off (Char.chr (Char.code (Bytes.get bytes off) lxor 1));
+  Out_channel.with_open_bin corrupt (fun oc -> Out_channel.output_bytes oc bytes);
+  let base = [ "census"; "--values=2"; "--rws=2"; "--responses=2"; "--cap=3" ] in
+  List.iter
+    (fun (label, path) ->
+      check_int (label ^ ": in-process") Api.Response.err_storage
+        (cli (base @ [ "--checkpoint=" ^ path; "--resume" ]));
+      check_int (label ^ ": with --workers") Api.Response.err_storage
+        (cli (base @ [ "--workers=1"; "--ledger=" ^ path; "--resume" ])))
+    [
+      ("a directory", dir);
+      ("a missing directory", "/nonexistent/dir/x.ledger");
+      ("a corrupt file", corrupt);
+    ]
 
 let suite =
   [
@@ -517,4 +568,6 @@ let suite =
       test_census_synth_memoized;
     Alcotest.test_case "arbitrary bytes never wedge the daemon" `Slow
       test_frame_robustness;
+    Alcotest.test_case "unopenable or corrupt progress files exit 74" `Quick
+      test_bad_progress_files_exit_storage;
   ]
