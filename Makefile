@@ -143,7 +143,10 @@ bench-e22: build
 # exercise the incremental machinery — nonzero fitness evaluations,
 # symmetry-memo skips, kernel patches and surviving (reused) memo
 # entries.  The search legitimately may or may not find a witness at
-# this budget; only a crash or a dead counter fails the smoke.
+# this budget.  The climb is deterministic and single-domain, so its
+# evaluation, patch and kernel-eval counts are pinned exactly: a patch
+# that invalidates more memo entries than the edit requires shows up as
+# extra decide.kernel_evals.
 synth-smoke: build
 	mkdir -p $(SMOKE_DIR)
 	./_build/default/bin/rcn.exe synth --target 4 --values 3 --rws 2 --responses 2 \
@@ -152,7 +155,9 @@ synth-smoke: build
 	  | ./_build/default/tools/stats_check.exe \
 	      --require-nonzero synth.evals --require-nonzero synth.sym_skips \
 	      --require-nonzero kernel.patches --require-nonzero kernel.masks_reused \
-	      --require-nonzero kernel.masks_invalidated
+	      --require-nonzero kernel.masks_invalidated \
+	      --require-eq synth.evals=292 --require-eq kernel.patches=1016 \
+	      --require-eq decide.kernel_evals=15422
 	rm -f $(SMOKE_DIR)/synth-smoke.out
 
 # Self-healing smoke, two halves (binaries invoked directly — see the

@@ -26,17 +26,21 @@
    The workload is the search's warm-start regime and says so: one
    ladder-seeded climb (the candidate budget stays below the restart
    threshold), where the fitness cascade short-circuits early and a
-   candidate costs a few delta-driven kernel evaluations against a
-   recompile-plus-fresh-sweep — measured ~4-5x here.  Once a climb
-   parks on the not-(target-1)-recording plateau, every candidate pays
-   a discerning refutation sweep whose incremental cost is bounded
-   below by the invalidation fraction (the share of memo entries whose
-   folds read a random edited cell, ~0.3-0.45 on these spaces), so the
-   deep-budget ratio is structurally ~1/f ≈ 2-3x — EXPERIMENTS.md E6
-   reports the full budget/space table for both regimes.  Each mode is
-   timed as the minimum over [reps] runs: the workload is fast by
-   design, and min-of-n is the stable estimator under scheduler
-   noise. *)
+   candidate costs a few delta-driven recording evaluations against a
+   recompile-plus-fresh-sweep.  Once a climb parks on the
+   not-(target-1)-recording plateau, every candidate pays a discerning
+   refutation sweep whose incremental cost is bounded below by the
+   invalidation fraction f (the share of memo entries whose folds read
+   a random edited cell): patches invalidate exactly those entries, so
+   the deep-budget ratio is ~1/f, measured 4.6x on {11,3,11} at 6,000
+   candidates and 3.0x on {7,2,7} at 2,000 — EXPERIMENTS.md E6 and E24
+   report the budget/space table for both regimes.
+
+   Timing: [reps] pairs, the two modes alternating run by run (the mode
+   that runs first alternates per pair), gated on the median of the
+   per-pair ratios.  A run takes ~20 ms, so a scheduler stall or clock
+   change lands on neighbouring runs of both modes alike instead of on
+   one mode's whole block of reps. *)
 
 let speedup_floor = 3.0
 
@@ -44,7 +48,7 @@ let space = { Synth.num_values = 11; num_rws = 3; num_responses = 11 }
 let target = 4
 let seed = 1
 let iterations = 2_000
-let reps = 5
+let reps = 11
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -56,9 +60,7 @@ let counter_value obs name =
   | Some (Obs.Metrics.Count n) -> n
   | _ -> 0
 
-(* One timed run; [reps] of these per mode, keeping the fastest time.
-   Every repetition's trajectory is compared — a divergence in any run
-   fails the bench, not just the fastest one. *)
+(* One timed run of one mode. *)
 let run ~incremental =
   let obs = Obs.create () in
   let trajectory = ref [] in
@@ -70,20 +72,10 @@ let run ~incremental =
   in
   (w, s, List.rev !trajectory, obs)
 
-let best ~incremental =
-  let w, s, traj, obs = run ~incremental in
-  let s = ref s and w = ref w and traj = ref traj and obs = ref obs in
-  let consistent = ref true in
-  for _ = 2 to reps do
-    let w', s', traj', obs' = run ~incremental in
-    if traj' <> !traj then consistent := false;
-    if s' < !s then begin
-      s := s';
-      w := w';
-      obs := obs'
-    end
-  done;
-  (!w, !s, !traj, !obs, !consistent)
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
 
 let () =
   Printf.printf "e22: synth {%d,%d,%d} target %d seed %d, %d candidates\n%!"
@@ -95,30 +87,44 @@ let () =
     Kernel.warm_trie ~nprocs:n ()
   done;
 
-  let w_inc, inc_s, traj_inc, obs_inc, rep_inc = best ~incremental:true in
+  let pairs =
+    List.init reps (fun i ->
+        if i mod 2 = 0 then
+          let inc = run ~incremental:true in
+          (inc, run ~incremental:false)
+        else
+          let scr = run ~incremental:false in
+          (run ~incremental:true, scr))
+  in
+  let (w_inc, _, traj_inc, obs_inc), (w_scr, _, traj_scr, obs_scr) = List.hd pairs in
+  let inc_s = median (List.map (fun ((_, s, _, _), _) -> s) pairs) in
+  let scr_s = median (List.map (fun (_, (_, s, _, _)) -> s) pairs) in
+  let speedup = median (List.map (fun ((_, i, _, _), (_, s, _, _)) -> s /. i) pairs) in
   let evals = counter_value obs_inc "synth.evals" in
   let skips = counter_value obs_inc "synth.sym_skips" in
   let patches = counter_value obs_inc "kernel.patches" in
   let invalidated = counter_value obs_inc "kernel.masks_invalidated" in
   let reused = counter_value obs_inc "kernel.masks_reused" in
   Printf.printf
-    "e22: incremental  %6.2f s — %d evals, %d sym skips, %d patches, %d masks invalidated, %d reused\n%!"
+    "e22: incremental  %6.3f s — %d evals, %d sym skips, %d patches, %d masks invalidated, %d reused\n%!"
     inc_s evals skips patches invalidated reused;
-
-  let w_scr, scr_s, traj_scr, obs_scr, rep_scr = best ~incremental:false in
   let evals_scr = counter_value obs_scr "synth.evals" in
-  Printf.printf "e22: from-scratch %6.2f s — %d evals\n%!" scr_s evals_scr;
+  Printf.printf "e22: from-scratch %6.3f s — %d evals\n%!" scr_s evals_scr;
 
   let witness_spec = function
     | None -> "none"
     | Some w -> Objtype.to_spec_string w.Synth.objtype
   in
-  let trajectory_identical = traj_inc = traj_scr && rep_inc && rep_scr in
+  (* Every repetition's trajectory is compared — a divergence in any run
+     fails the bench, not just the first pair's. *)
+  let trajectory_identical =
+    traj_inc = traj_scr
+    && List.for_all (fun ((_, _, ti, _), (_, _, ts, _)) -> ti = traj_inc && ts = traj_inc) pairs
+  in
   let witness_identical =
     evals = evals_scr && String.equal (witness_spec w_inc) (witness_spec w_scr)
   in
   let patched = patches > 0 && reused > 0 in
-  let speedup = scr_s /. inc_s in
   let evals_per_s s = float_of_int evals /. s in
   let json =
     Wire.Obj
@@ -154,7 +160,7 @@ let () =
       Out_channel.output_string oc (Wire.to_string json);
       Out_channel.output_char oc '\n');
   Printf.printf
-    "e22: %.0f vs %.0f evals/s, speedup %.2fx (floor %.1fx), trajectory_identical=%b → BENCH_e22.json\n%!"
+    "e22: %.0f vs %.0f evals/s, median pair speedup %.2fx (floor %.1fx), trajectory_identical=%b → BENCH_e22.json\n%!"
     (evals_per_s inc_s) (evals_per_s scr_s) speedup speedup_floor
     trajectory_identical;
   if not trajectory_identical then begin

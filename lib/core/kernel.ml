@@ -164,6 +164,7 @@ type t = {
   t_parent : int array;
   t_proc : int array;
   t_first : int array;
+  t_key : int array; (* per node: [(proc * nr * n) + first], its [acc] row sans response *)
   parts : part array;
   per_u : int;
   total : int;
@@ -226,6 +227,7 @@ let compile ?obs (ty : Objtype.t) ~n =
         p)
   in
   let per_u = !start in
+  let t_proc = Sched.Trie.proc trie and t_first = Sched.Trie.first trie in
   let k =
     {
       ty;
@@ -237,8 +239,9 @@ let compile ?obs (ty : Objtype.t) ~n =
       resp;
       t_nodes = Sched.Trie.num_nodes trie;
       t_parent = Sched.Trie.parent trie;
-      t_proc = Sched.Trie.proc trie;
-      t_first = Sched.Trie.first trie;
+      t_proc;
+      t_first;
+      t_key = Array.mapi (fun i f -> if i = 0 then 0 else (t_proc.(i) * nr * n) + f) t_first;
       parts;
       per_u;
       total = nv * per_u;
@@ -258,14 +261,15 @@ let total k = k.total
 (* ------------------------------------------------------------------ *)
 (* Scratch. *)
 
-(* One memoized evaluation: the final-value (or discerning-key) masks of
-   a given [(u, ops, condition)], plus the delta-invalidation metadata —
-   [cells] is a bitset over the [nv * no] transition-table cells the trie
-   fold read to produce [masks], recorded while [track] is on.  [patch]
-   flips [valid] off for every entry watching the edited cell; [version]
-   distinguishes successive recomputations of the same slot so the
-   rank-indexed verdict cache below can tell a revalidated entry from
-   the one it cached. *)
+(* One memoized evaluation: the recording final-value masks or the
+   discerning clash rows of a given [(u, ops, condition)], plus the
+   delta-invalidation metadata — [cells] is a bitset over the [nv * no]
+   transition-table cells the trie fold read to produce [masks],
+   recorded while [track] is on.  [patch] flips [valid] off for every
+   entry whose [cells] has the edited bit; [version] distinguishes
+   successive recomputations of the same slot so the rank-indexed
+   verdict cache below can tell a revalidated entry from the one it
+   cached. *)
 type entry = {
   mutable masks : int array;
   mutable cells : int array; (* bitset: cell [c] at word [c lsr 5], bit [c land 31] *)
@@ -288,23 +292,25 @@ end)
 
 type scratch = {
   value : int array; (* per trie node: folded final value; value.(0) = u *)
-  resp_at : int array; (* per trie node: response of the node's last step *)
+  row_at : int array; (* per trie node: its [acc] row, from its last step's response *)
   rec_mask : int array; (* per final value: bitmask of first-processes *)
-  key_mask : int array; (* per (proc, resp, final) key: same bitmask *)
-  touched : int array; (* stack of keys with a nonzero mask *)
+  vw : int; (* words per value set: [nv] bits, 63 a word *)
+  sub : int array; (* per trie node: set of final values in its subtree *)
+  acc : int array; (* per (proc, resp, first): union of [sub]; all zero between evals *)
   ops : int array; (* current candidate's op per process *)
   ops0 : int array; (* T_0's sorted assignment (first size0 slots used) *)
   ops1 : int array; (* T_1's sorted assignment *)
   memo : entry Memo.t; (* (u, ops, condition) -> entry *)
-  watch : entry list array; (* per cell: entries whose masks read it *)
+  mutable entries : entry array; (* while [track]: [memo]'s entries, [0 .. n_entries - 1] *)
+  mutable n_entries : int;
   cur_cells : int array; (* bitset buffer for the eval in progress *)
   cell_words : int; (* length of [cur_cells] *)
-  mutable track : bool; (* record cells / maintain [watch]? on after the first patch *)
+  mutable track : bool; (* record cells? on after the first patch *)
   mutable patches_seen : int;
   mutable patch_events : int;
-      (* bumped by every bucket-clearing event (patch, unpatch) and
-         never rolled back — the guard telling an unpatch whether its
-         window was quiet enough to restore snapshots (see [unpatch]) *)
+      (* bumped by every invalidating event (patch, unpatch) and never
+         rolled back — the guard telling an unpatch whether its window
+         was quiet enough to restore snapshots (see [unpatch]) *)
   mutable vclock : int; (* issues entry versions; never reissued, so a
                            rolled-back version can't collide with a later
                            re-evaluation's in the verdict cache *)
@@ -330,17 +336,20 @@ type scratch = {
 }
 
 let scratch k =
+  let vw = (k.nv + 62) / 63 in
   {
     value = Array.make k.t_nodes 0;
-    resp_at = Array.make k.t_nodes 0;
+    row_at = Array.make k.t_nodes 0;
     rec_mask = Array.make k.nv 0;
-    key_mask = Array.make (k.n * k.nr * k.nv) 0;
-    touched = Array.make (k.n * k.nr * k.nv) 0;
+    vw;
+    sub = Array.make (k.t_nodes * vw) 0;
+    acc = Array.make (k.n * k.nr * k.n * vw) 0;
     ops = Array.make k.n 0;
     ops0 = Array.make k.n 0;
     ops1 = Array.make k.n 0;
     memo = Memo.create 16;
-    watch = Array.make (k.nv * k.no) [];
+    entries = [||];
+    n_entries = 0;
     cur_cells = Array.make (((k.nv * k.no) + 31) / 32) 0;
     cell_words = ((k.nv * k.no) + 31) / 32;
     track = false;
@@ -393,47 +402,58 @@ let eval_rec_trie k s ~u =
     done
 
 (* Discerning needs, per schedule, the set of (process, its response,
-   final value) triples.  In the trie each node's schedule is its root
-   path, and each ancestor contributes its own last step's response, so
-   we walk ancestors per node; total cost is one transition per node
-   plus one ancestor walk per node (= total_steps key updates, the same
-   count the reference pays, but each is an array or-in, not a Hashtbl
-   probe).  Returns the number of touched keys. *)
+   final value) triples: each step on the schedule's root path paired
+   with its final value.  Turned around, node [a] pairs its own step's
+   (proc, resp) with every final value in its subtree, all under [a]'s
+   first process.  So one reverse pass (children before parents)
+   completes each node's subtree value set [sub], ORs it into its
+   parent's (the root's is never read) and into its row
+   [acc.((proc, resp), first)], and clears it for the next eval.  Two
+   first processes share a triple iff their rows meet under a common
+   (proc, resp).  One more pass over the nodes clears each nonzero row
+   and compares it with its key's rows: of two meeting rows, the first
+   one visited is compared while the other is still whole.  The
+   result is [n] clash rows, bit [f'] of row [f] set iff [f] and [f']
+   share a triple. *)
 let eval_disc_trie k s ~u =
-  s.value.(0) <- u;
-  if s.track then
-    for i = 1 to k.t_nodes - 1 do
-      let idx = (s.value.(k.t_parent.(i)) * k.no) + s.ops.(k.t_proc.(i)) in
-      s.cur_cells.(idx lsr 5) <- s.cur_cells.(idx lsr 5) lor (1 lsl (idx land 31));
-      s.value.(i) <- k.next.(idx);
-      s.resp_at.(i) <- k.resp.(idx)
-    done
-  else
-    for i = 1 to k.t_nodes - 1 do
-      let idx = (s.value.(k.t_parent.(i)) * k.no) + s.ops.(k.t_proc.(i)) in
-      s.value.(i) <- k.next.(idx);
-      s.resp_at.(i) <- k.resp.(idx)
-    done;
-  let nt = ref 0 in
+  let n = k.n and vw = s.vw and value = s.value and row_at = s.row_at in
+  value.(0) <- u;
   for i = 1 to k.t_nodes - 1 do
-    let fbit = 1 lsl k.t_first.(i) and f = s.value.(i) in
-    let a = ref i in
-    while !a > 0 do
-      let key = (((k.t_proc.(!a) * k.nr) + s.resp_at.(!a)) * k.nv) + f in
-      if s.key_mask.(key) = 0 then begin
-        s.touched.(!nt) <- key;
-        incr nt
-      end;
-      s.key_mask.(key) <- s.key_mask.(key) lor fbit;
-      a := k.t_parent.(!a)
+    let idx = (value.(k.t_parent.(i)) * k.no) + s.ops.(k.t_proc.(i)) in
+    if s.track then s.cur_cells.(idx lsr 5) <- s.cur_cells.(idx lsr 5) lor (1 lsl (idx land 31));
+    value.(i) <- k.next.(idx);
+    row_at.(i) <- (k.t_key.(i) + (k.resp.(idx) * n)) * vw
+  done;
+  let sub = s.sub and acc = s.acc in
+  for i = k.t_nodes - 1 downto 1 do
+    let v = value.(i) in
+    let b = i * vw and vword = v / 63 and vbit = 1 lsl (v mod 63) in
+    let row = row_at.(i) and pb = k.t_parent.(i) * vw in
+    for w = 0 to vw - 1 do
+      let x = if w = vword then sub.(b + w) lor vbit else sub.(b + w) in
+      sub.(b + w) <- 0;
+      acc.(row + w) <- acc.(row + w) lor x;
+      sub.(pb + w) <- sub.(pb + w) lor x
     done
   done;
-  !nt
-
-let reset_keys s nt =
-  for i = 0 to nt - 1 do
-    s.key_mask.(s.touched.(i)) <- 0
-  done
+  let clash = Array.make n 0 in
+  for i = 1 to k.t_nodes - 1 do
+    let row = row_at.(i) and f = k.t_first.(i) in
+    let key = row - (f * vw) in
+    for w = 0 to vw - 1 do
+      let x = acc.(row + w) in
+      if x <> 0 then begin
+        acc.(row + w) <- 0;
+        for f' = 0 to n - 1 do
+          if x land acc.(key + (f' * vw) + w) <> 0 then begin
+            clash.(f) <- clash.(f) lor (1 lsl f');
+            clash.(f') <- clash.(f') lor (1 lsl f)
+          end
+        done
+      end
+    done
+  done;
+  clash
 
 (* ------------------------------------------------------------------ *)
 (* Classification: one evaluation's masks against one partition.
@@ -457,14 +477,13 @@ let classify_rec k (masks : int array) part ~u =
 
 (* Discerning (reference [check_discerning_fast]): every
    (process, response, final value) triple must be produced only by
-   schedules whose first process is on a single team. *)
-let classify_disc_masks (masks : int array) part =
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < Array.length masks do
-    let m = masks.(!i) in
-    if m land part.t0bits <> 0 && m land part.t1bits <> 0 then ok := false;
-    incr i
+   schedules whose first process is on a single team — no T_0 first
+   process clashes with a T_1 one. *)
+let classify_disc (clash : int array) part =
+  let ok = ref true and j = ref 0 in
+  while !ok && !j < part.size0 do
+    if clash.(part.procs0.(!j)) land part.t1bits <> 0 then ok := false;
+    incr j
   done;
   !ok
 
@@ -480,47 +499,39 @@ let flush k s =
   s.n_pruned <- 0;
   s.n_reused <- 0
 
-(* Register [e] in the watch buckets of every cell its last evaluation
-   read.  Buckets are cleared when their cell is patched; an entry may
-   linger in a bucket for a cell it no longer reads (it was invalidated
-   and re-evaluated down a different path) — invalidation is idempotent
-   and conservative, so stale registrations only cost a spurious
-   re-evaluation, never a wrong answer. *)
-let register_watch k (s : scratch) (e : entry) =
-  let cells = k.nv * k.no in
-  for c = 0 to cells - 1 do
-    if e.cells.(c lsr 5) land (1 lsl (c land 31)) <> 0 then
-      s.watch.(c) <- e :: s.watch.(c)
-  done
+(* Append [e] to the scratch's entry vector, the list patches scan.  It
+   is filled at the first patch and kept only while tracking, so an
+   unpatched scratch (a census's) never pays for it. *)
+let push s e =
+  if s.n_entries = Array.length s.entries then begin
+    let grown = Array.make (max 16 (2 * s.n_entries)) dummy_entry in
+    Array.blit s.entries 0 grown 0 s.n_entries;
+    s.entries <- grown
+  end;
+  s.entries.(s.n_entries) <- e;
+  s.n_entries <- s.n_entries + 1
 
 (* Decide the candidate currently materialized in [s.ops] against
    [part], evaluating or reusing the (u, ops) memo. *)
 let check_current k s cond ~u part =
   let code = memo_code k s cond ~u in
-  match Memo.find_opt s.memo code with
-  | Some e when e.valid -> (
-      s.n_pruned <- s.n_pruned + 1;
-      if s.patches_seen > 0 then s.n_reused <- s.n_reused + 1;
-      s.last <- e;
-      match cond with
-      | Recording -> classify_rec k e.masks part ~u
-      | Discerning -> classify_disc_masks e.masks part)
-  | stale ->
-      s.n_evals <- s.n_evals + 1;
-      if s.track then Array.fill s.cur_cells 0 s.cell_words 0;
-      let masks =
-        match cond with
-        | Recording ->
-            eval_rec_trie k s ~u;
-            Array.sub s.rec_mask 0 k.nv
-        | Discerning ->
-            let nt = eval_disc_trie k s ~u in
-            let m = Array.init nt (fun i -> s.key_mask.(s.touched.(i))) in
-            reset_keys s nt;
-            m
-      in
-      let cells = if s.track then Array.copy s.cur_cells else [||] in
-      let e =
+  let e =
+    match Memo.find_opt s.memo code with
+    | Some e when e.valid ->
+        s.n_pruned <- s.n_pruned + 1;
+        if s.patches_seen > 0 then s.n_reused <- s.n_reused + 1;
+        e
+    | stale -> (
+        s.n_evals <- s.n_evals + 1;
+        if s.track then Array.fill s.cur_cells 0 s.cell_words 0;
+        let masks =
+          match cond with
+          | Recording ->
+              eval_rec_trie k s ~u;
+              Array.sub s.rec_mask 0 k.nv
+          | Discerning -> eval_disc_trie k s ~u
+        in
+        let cells = if s.track then Array.copy s.cur_cells else [||] in
         match stale with
         | Some e when e.masks = masks ->
             (* The edit did not change this evaluation's masks, so
@@ -532,44 +543,45 @@ let check_current k s cond ~u part =
             e.cells <- cells;
             e.valid <- true;
             e
-        | stale ->
+        | Some e ->
             s.vclock <- s.vclock + 1;
-            (match stale with
-            | Some e ->
-                e.masks <- masks;
-                e.cells <- cells;
-                e.valid <- true;
-                e.version <- s.vclock;
-                e
-            | None ->
-                let e = { masks; cells; valid = true; version = s.vclock } in
-                Memo.add s.memo code e;
-                e)
-      in
-      if s.track then register_watch k s e;
-      s.last <- e;
-      (match cond with
-      | Recording -> classify_rec k e.masks part ~u
-      | Discerning -> classify_disc_masks e.masks part)
+            e.masks <- masks;
+            e.cells <- cells;
+            e.valid <- true;
+            e.version <- s.vclock;
+            e
+        | None ->
+            s.vclock <- s.vclock + 1;
+            let e = { masks; cells; valid = true; version = s.vclock } in
+            Memo.add s.memo code e;
+            if s.track then push s e;
+            e)
+  in
+  s.last <- e;
+  match cond with
+  | Recording -> classify_rec k e.masks part ~u
+  | Discerning -> classify_disc e.masks part
 
 (* ------------------------------------------------------------------ *)
 (* Patching.  A patch rewrites one transition-table cell in place and
-   invalidates exactly the memoized evaluations registered as watching
-   that cell.  The very first patch on a scratch has no cell metadata to
-   consult (tracking was off), so it invalidates the whole memo once and
-   switches tracking on; every later patch is O(watchers of the cell).
+   invalidates exactly the memoized evaluations that read that cell, by
+   scanning the entry vector for valid entries whose [cells] has its
+   bit — O(memo entries) per patch, and exact: an entry is never
+   dropped for a cell it no longer reads.  The very first patch on a
+   scratch has no cell metadata to consult (tracking was off), so it
+   fills the vector from the memo, invalidates all of it once and
+   switches tracking on.
 
    Each entry a patch invalidates is first snapshotted (masks, read-cell
    bitset and version) into the patch token, which also records the
    patch-event counter at creation.  [unpatch] with a *quiet window* —
-   no bucket-clearing event since the token's own patch — restores the
+   no invalidating event since the token's own patch — restores the
    table to exactly the state the snapshots were computed under, so it
-   (a) invalidates the *window* entries, the ones evaluated under the
-   mutant that read [c] (precisely the current watchers of [c]: the
-   patch emptied that bucket, so everything in it registered during the
-   window; a window evaluation that did not read [c] folds identically
-   on both tables and stays valid), then (b) swaps every snapshot back
-   in, valid, at its original version — a rejected mutation costs zero
+   (a) invalidates the *window* entries, the valid ones that read [c]
+   (the patch left none valid, so each was evaluated under the mutant;
+   a window evaluation that did not read [c] folds identically on both
+   tables and stays valid), then (b) swaps every snapshot back in,
+   valid, at its original version — a rejected mutation costs zero
    re-evaluations on the way back, and restoring the version revives
    the per-rank verdict cache.  Snapshots live in the token, not the
    entry, so nested live tokens saving the same entry cannot clobber
@@ -577,19 +589,17 @@ let check_current k s cond ~u part =
    a rolled-back version cannot collide with a later re-evaluation's in
    the verdict cache.
 
-   The quiet-window guard is what keeps restoration sound: a valid
-   entry is registered in the watch bucket of every cell it reads, and
-   an inner patch on another cell [c'] clears that bucket — dropping
-   any entry this token snapshotted (it is invalid at that point, so
-   the inner token does not save it).  Restoring such an entry to valid
-   would leave it unwatched on [c'], immune to later invalidation, and
-   silently stale.  So any intervening event — an inner patch/unpatch
-   pair, an out-of-LIFO-order unpatch — makes the token fall back to
-   plain invalidation of [c]'s current watchers: the snapshots are
-   discarded and the affected evaluations simply rerun on demand
-   (correct, just slower).  Either way the kernel answers as a fresh
-   compile of the restored table — the differential property pins
-   this. *)
+   The quiet-window guard is what keeps restoration sound: a snapshot
+   describes the table as it stood at the token's patch.  While an
+   inner patch of another cell [c'] is still in force (an out-of-LIFO
+   unpatch), restoring a snapshot that read [c'] would revive masks
+   folded over the old [c'], silently stale.  The event counter cannot
+   tell that window from a balanced inner patch/unpatch pair, so any
+   intervening event makes the token fall back to plain invalidation
+   of [c]'s current readers: the snapshots are discarded and the
+   affected evaluations simply rerun on demand (correct, just slower).
+   Either way the kernel answers as a fresh compile of the restored
+   table — the differential property pins this. *)
 
 type patch = {
   p_cell : int;
@@ -602,41 +612,41 @@ type patch = {
       (* (entry, masks, cells, version) at patch time *)
 }
 
-(* Snapshot and invalidate every valid watcher of [c]; returns the
-   snapshots.  First patch on a scratch: whole-memo invalidation (no
-   snapshots — nothing would restore them) + tracking on. *)
+(* Invalidate every valid entry that read cell [c] (every valid entry
+   when [c < 0]); returns how many, with their snapshots when [save]. *)
+let drop_readers s c ~save =
+  let n = ref 0 and saved = ref [] in
+  for i = 0 to s.n_entries - 1 do
+    let e = s.entries.(i) in
+    if e.valid && (c < 0 || e.cells.(c lsr 5) land (1 lsl (c land 31)) <> 0) then begin
+      if save then saved := (e, e.masks, e.cells, e.version) :: !saved;
+      e.valid <- false;
+      incr n
+    end
+  done;
+  (!n, !saved)
+
+(* Snapshot and invalidate every valid reader of [c]; returns the
+   snapshots.  First patch on a scratch: entry vector filled, whole-memo
+   invalidation (no snapshots — nothing would restore them), tracking
+   on. *)
 let invalidate k s c =
-  let n = ref 0 in
-  let saved = ref [] in
-  if not s.track then begin
-    s.track <- true;
-    Memo.iter
-      (fun _ e ->
-        if e.valid then begin
-          e.valid <- false;
-          incr n
-        end)
-      s.memo;
-    s.v_entry <- Array.make (2 * k.total) dummy_entry;
-    s.v_version <- Array.make (2 * k.total) (-1);
-    s.v_bool <- Bytes.make (2 * k.total) '\000'
-  end
-  else begin
-    List.iter
-      (fun e ->
-        if e.valid then begin
-          saved := (e, e.masks, e.cells, e.version) :: !saved;
-          e.valid <- false;
-          incr n
-        end)
-      s.watch.(c);
-    s.watch.(c) <- []
-  end;
+  let n, saved =
+    if s.track then drop_readers s c ~save:true
+    else begin
+      s.track <- true;
+      s.v_entry <- Array.make (2 * k.total) dummy_entry;
+      s.v_version <- Array.make (2 * k.total) (-1);
+      s.v_bool <- Bytes.make (2 * k.total) '\000';
+      Memo.iter (fun _ e -> push s e) s.memo;
+      drop_readers s (-1) ~save:false
+    end
+  in
   s.patches_seen <- s.patches_seen + 1;
   s.patch_events <- s.patch_events + 1;
   count_opt k.c_patches;
-  add_opt k.c_invalidated !n;
-  !saved
+  add_opt k.c_invalidated n;
+  saved
 
 let patch k s ~cell:(v, o) ~entry:(r, v') =
   if v < 0 || v >= k.nv || o < 0 || o >= k.no then
@@ -658,33 +668,22 @@ let unpatch k s { p_cell = c; p_resp; p_next; p_stamp; p_events; p_epoch; p_save
   k.next.(c) <- p_next;
   if s.track && s.patch_events = p_events + 1 then begin
     (* Quiet-window fast path (see the comment above): the only event
-       since the token's creation is its own patch, so no watch bucket
-       lost a snapshotted entry and restoration is sound.  Window
-       entries first, then the snapshots; the patch clock rolls back so
-       the hot reject cycle reads as zero net patches.  Restored
-       entries still watch [c] — re-register them, since the patch
-       cleared that bucket. *)
-    let n = ref 0 in
-    List.iter
-      (fun e ->
-        if e.valid then begin
-          e.valid <- false;
-          incr n
-        end)
-      s.watch.(c);
-    s.watch.(c) <- [];
+       since the token's creation is its own patch, so every snapshot
+       still describes the restored table.  Window entries first, then
+       the snapshots; the patch clock rolls back so the hot reject
+       cycle reads as zero net patches. *)
+    let n, _ = drop_readers s c ~save:false in
     List.iter
       (fun (e, masks, cells, version) ->
         e.masks <- masks;
         e.cells <- cells;
         e.version <- version;
-        e.valid <- true;
-        s.watch.(c) <- e :: s.watch.(c))
+        e.valid <- true)
       p_saved;
     s.patches_seen <- p_stamp;
     s.patch_events <- s.patch_events + 1;
     count_opt k.c_patches;
-    add_opt k.c_invalidated !n;
+    add_opt k.c_invalidated n;
     add_opt k.c_reused (List.length p_saved)
   end
   else ignore (invalidate k s c)
@@ -693,8 +692,8 @@ let unpatch k s { p_cell = c; p_resp; p_next; p_stamp; p_events; p_epoch; p_save
 (* Retargeting: the same compiled kernel and scratch, a new table of the
    same shape.  Everything shape-dependent (trie, partitions, ranks,
    buffer sizes) carries over; the tables are overwritten in place and
-   the scratch is put back in its freshly-made state — memo, watch
-   buckets, tracking, verdict cache, hint, [last] — at a cost bounded by
+   the scratch is put back in its freshly-made state — memo, entry
+   vector, tracking, verdict cache, hint, [last] — at a cost bounded by
    what the previous table's decisions used.  The patch clock and the
    version clock are not rolled back, and the epoch bump voids every
    outstanding patch token. *)
@@ -716,7 +715,8 @@ let retarget ?obs k s (ty : Objtype.t) =
   | _ -> bind_counters k obs);
   Memo.clear s.memo;
   if s.track then begin
-    Array.fill s.watch 0 (Array.length s.watch) [];
+    Array.fill s.entries 0 s.n_entries dummy_entry;
+    s.n_entries <- 0;
     s.track <- false;
     s.v_entry <- [||];
     s.v_version <- [||];

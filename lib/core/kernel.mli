@@ -21,9 +21,12 @@
     - {b Team-independent evaluation.}  The folded final values and
       responses depend only on [(u, ops)], not on the team partition, so
       evaluation results are cached per [(u, ops)] within a scratch and
-      each partition is then classified by a cheap pass over flat arrays
-      keyed by final value (bounded by [num_values]) — no [Hashtbl]s in
-      the per-candidate loop.
+      each partition is then classified by a cheap pass over a few
+      words: per final value the first processes reaching it
+      (recording), or per first process the first processes it shares
+      a (process, response, final value) triple with (discerning, [n]
+      "clash rows" built from per-node subtree value sets) — no
+      [Hashtbl]s in the per-candidate loop.
 
     Candidates are {e ranked}: the kernel numbers the sequential
     enumeration order of [Decide.candidates] (initial value major, then
@@ -101,12 +104,12 @@ val scratch : t -> scratch
 val retarget : ?obs:Obs.t -> t -> scratch -> Objtype.t -> unit
 (** [retarget ?obs k s ty] makes [k] decide [ty]: the flat tables are
     overwritten in place from [ty.delta], and [s] is reset to the state
-    of a fresh [scratch k] — evaluation memo, patch state (watch
-    buckets, cell tracking, verdict cache), [exists] hints — in time
-    bounded by what the previous table's decisions used.  The kernel
-    counters are rebound to [obs] (unbound when absent), exactly as
-    [compile ?obs] would bind them.  Afterwards [k] and [s] answer every
-    query, and count every counter, byte-identically to
+    of a fresh [scratch k] — evaluation memo, patch state (the entry
+    vector patches scan, cell tracking, verdict cache), [exists] hints
+    — in time bounded by what the previous table's decisions used.  The
+    kernel counters are rebound to [obs] (unbound when absent), exactly
+    as [compile ?obs] would bind them.  Afterwards [k] and [s] answer
+    every query, and count every counter, byte-identically to
     [compile ?obs ty ~n] with a fresh scratch; {!to_objtype}'s default
     name becomes [ty]'s.  Patch tokens taken before the retarget are
     void ({!unpatch} rejects them).
@@ -158,17 +161,19 @@ val check :
     {!patch} edits one cell of the live tables and {e delta-invalidates}
     the scratch's evaluation memo: every memoized per-[(u, ops)] mask
     records (as a small bitset, while tracking is on) which table cells
-    its trie fold read, and a patch flips off exactly the entries
-    watching the edited cell — [O(invalidated entries)], not a memo
-    reset.  A rank-indexed verdict cache making re-scans O(1) per
-    untouched candidate rides on the same validity bits.  {!unpatch}
-    restores the previous entry from the returned token, so a rejected
-    mutation costs two cell writes plus the invalidations.  The
-    snapshot-reviving fast path applies when nothing else was patched
-    between a token's creation and its unpatch (the synthesizer's
-    reject cycle); any intervening patch/unpatch — nested tokens,
-    out-of-LIFO-order release — degrades that token to plain
-    invalidation, still correct, just re-evaluating on demand.
+    its trie fold read, and a patch scans the scratch's vector of memo
+    entries and flips off exactly the valid ones whose bitset has the
+    edited cell — [O(memo entries)] bit tests, not a memo reset, and
+    never an entry that no longer reads the cell.  A rank-indexed
+    verdict cache making re-scans O(1) per untouched candidate rides on
+    the same validity bits.  {!unpatch} restores the previous entry
+    from the returned token, so a rejected mutation costs two cell
+    writes plus the invalidations.  The snapshot-reviving fast path
+    applies when nothing else was patched between a token's creation
+    and its unpatch (the synthesizer's reject cycle); any intervening
+    patch/unpatch — nested tokens, out-of-LIFO-order release — degrades
+    that token to plain invalidation, still correct, just re-evaluating
+    on demand.
 
     The first patch on a scratch invalidates its whole memo once (cells
     were not yet being tracked) and switches tracking on.

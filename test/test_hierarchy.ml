@@ -450,11 +450,27 @@ let prop_decider_certificates_replay =
           | None -> true)
         [ 2; 3 ])
 
+let cert_equal (a : Certificate.t option) (b : Certificate.t option) =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+      a.Certificate.initial = b.Certificate.initial
+      && a.Certificate.team = b.Certificate.team
+      && a.Certificate.ops = b.Certificate.ops
+  | _ -> false
+
+(* Both deciders on one query: the kernel's certificate (or refutation)
+   must be byte-identical to the reference checker's. *)
+let kernel_agrees condition ty ~n =
+  cert_equal
+    (Decide.search ~mode:Kernel.Reference condition ty ~n)
+    (Decide.search ~mode:Kernel.Trie condition ty ~n)
+
 let prop_kernel_matches_reference =
   (* The differential pin for the compiled kernel: on random small types
      (up to 4 values, 3 RMW operations) the trie kernel agrees with the
-     reference checkers on is_discerning / is_recording at n = 2 and 3,
-     and when a witness exists the certificates are byte-identical. *)
+     reference checkers on is_discerning / is_recording at n = 2, 3 and
+     4, and when a witness exists the certificates are byte-identical. *)
   let space = { Synth.num_values = 4; num_rws = 3; num_responses = 3 } in
   let arbitrary =
     QCheck.make
@@ -463,36 +479,77 @@ let prop_kernel_matches_reference =
          (fun seed -> Synth.random_genome (Random.State.make [| seed |]) space)
          QCheck.Gen.int)
   in
-  let cert_equal (a : Certificate.t option) (b : Certificate.t option) =
-    match (a, b) with
-    | None, None -> true
-    | Some a, Some b ->
-        a.Certificate.initial = b.Certificate.initial
-        && a.Certificate.team = b.Certificate.team
-        && a.Certificate.ops = b.Certificate.ops
-    | _ -> false
-  in
   QCheck.Test.make ~name:"kernel modes match the reference decider" ~count:60 arbitrary
     (fun g ->
       let ty = Synth.to_objtype g in
       List.for_all
         (fun n ->
           List.for_all
+            (fun condition -> kernel_agrees condition ty ~n)
+            [ Decide.Discerning; Decide.Recording ])
+        [ 2; 3; 4 ])
+
+let test_kernel_multiword_values () =
+  (* Value sets wider than one machine word (63 values each).  A
+     fetch-and-add-65 over 70 values, plus a read: from 0 its first
+     steps reach 65 and 60, on both sides of the word boundary; like
+     any fetch-and-add it is 2-discerning and not 3-discerning, so the
+     kernel has to match the reference on a witness and on a
+     refutation.  Two silent writes over 70 values: from 0, op 0 then
+     op 1 ends at 3 and op 1 then op 0 at 66 = 3 + 63, and that
+     difference alone makes (0, op 0 | op 1) a 2-discerning witness —
+     value sets that wrapped at one word would merge the two.  Random
+     64-value types add unstructured coverage. *)
+  let nv = 70 in
+  let faa =
+    Objtype.make ~name:"faa65" ~num_values:nv ~num_ops:2 ~num_responses:nv (fun v o ->
+        if o = 0 then (v, (v + 65) mod nv) else (v, v))
+  in
+  let writes =
+    Objtype.make ~name:"writes-3-66" ~num_values:nv ~num_ops:2 ~num_responses:1 (fun v o ->
+        match (o, v) with
+        | 0, 0 -> (0, 1)
+        | 0, 2 -> (0, 66)
+        | 1, 0 -> (0, 2)
+        | 1, 1 -> (0, 3)
+        | _ -> (0, v))
+  in
+  check_bool "faa65 is 2-discerning" true
+    (Decide.search Decide.Discerning faa ~n:2 <> None);
+  check_bool "faa65 is not 3-discerning" true
+    (Decide.search Decide.Discerning faa ~n:3 = None);
+  check_bool "writes-3-66 has a 2-discerning witness from 0" true
+    (match Decide.search ~mode:Kernel.Reference Decide.Discerning writes ~n:2 with
+    | Some c -> c.Certificate.initial = 0
+    | None -> false);
+  let space = { Synth.num_values = 64; num_rws = 2; num_responses = 3 } in
+  let randoms =
+    List.init 4 (fun seed -> Synth.to_objtype (Synth.random_genome (Random.State.make [| seed |]) space))
+  in
+  List.iter
+    (fun ty ->
+      List.iter
+        (fun n ->
+          List.iter
             (fun condition ->
-              let reference = Decide.search ~mode:Kernel.Reference condition ty ~n in
-              let trie = Decide.search ~mode:Kernel.Trie condition ty ~n in
-              cert_equal reference trie)
+              check_bool
+                (Printf.sprintf "%s n=%d: kernel matches the reference" ty.Objtype.name n)
+                true (kernel_agrees condition ty ~n))
             [ Decide.Discerning; Decide.Recording ])
         [ 2; 3 ])
+    (faa :: writes :: randoms)
 
 let prop_patched_kernel_matches_fresh_compile =
   (* The incremental-patching contract (the synthesizer's warm-start
-     search leans on it): after any LIFO patch/unpatch sequence, the
-     patched kernel answers every query byte-identically to a fresh
-     compile of the mutated type — both conditions, at n = 2 and 3.  The
-     shadow table tracks what the kernel's cells must currently hold;
-     interrogations mid-sequence exercise memo churn (entries invalidated
-     by one edit, revalidated by its revert). *)
+     search leans on it): after any patch/unpatch sequence, the patched
+     kernel answers every query byte-identically to a fresh compile of
+     the mutated type — both conditions, at n = 2 and 3.  Tokens are
+     mostly released LIFO (the quiet-window restore) but sometimes out
+     of order, which forces the plain-invalidation fallback; an unpatch
+     writes back the entry its own patch replaced, whatever the cell
+     holds by then.  The shadow table tracks what the kernel's cells must
+     currently hold; interrogations mid-sequence exercise memo churn
+     (entries invalidated by one edit, revalidated by its revert). *)
   let arbitrary = QCheck.make ~print:string_of_int QCheck.Gen.int in
   QCheck.Test.make ~name:"patched kernel matches a fresh compile" ~count:40 arbitrary
     (fun case_seed ->
@@ -542,13 +599,16 @@ let prop_patched_kernel_matches_fresh_compile =
                stack := (tok, c, shadow.(c)) :: !stack;
                shadow.(c) <- (r, v')
              end
-             else
-               match !stack with
-               | (tok, c, prev) :: rest ->
-                   Kernel.unpatch k s tok;
-                   shadow.(c) <- prev;
-                   stack := rest
-               | [] -> ());
+             else begin
+               (* One release in four picks a random live token. *)
+               let i =
+                 if Random.State.int rng 4 = 0 then Random.State.int rng (List.length !stack) else 0
+               in
+               let tok, c, prev = List.nth !stack i in
+               Kernel.unpatch k s tok;
+               shadow.(c) <- prev;
+               stack := List.filteri (fun j _ -> j <> i) !stack
+             end);
             if Random.State.int rng 4 = 0 then ok := !ok && agrees ()
           done;
           !ok && agrees ())
@@ -560,7 +620,10 @@ let prop_retargeted_kernel_matches_fresh_compile =
      (some still outstanding) and queries interleaved before some of the
      retargets — answer every query after each retarget byte-identically
      to a fresh compile, and count the decide.* counters identically
-     into the context the retarget names. *)
+     into the context the retarget names.  The first patch after each
+     retarget must invalidate as many memo entries as the same patch on
+     the fresh compile: an entry the retarget failed to forget would
+     inflate the count. *)
   let arbitrary = QCheck.make ~print:string_of_int QCheck.Gen.int in
   QCheck.Test.make ~name:"retargeted kernel matches a fresh compile" ~count:40 arbitrary
     (fun case_seed ->
@@ -627,7 +690,13 @@ let prop_retargeted_kernel_matches_fresh_compile =
               !ok
               && Objtype.equal_behaviour (Kernel.to_objtype k) ty
               && answers k s probes = answers fresh fs probes
-              && counts obs = counts fresh_obs
+              && counts obs = counts fresh_obs;
+            let cell = (Random.State.int rng nv, Random.State.int rng no)
+            and entry = (Random.State.int rng nr, Random.State.int rng nv) in
+            ignore (Kernel.patch k s ~cell ~entry);
+            ignore (Kernel.patch fresh fs ~cell ~entry);
+            let invalidated o = Obs.Metrics.Counter.value (Obs.counter o "kernel.masks_invalidated") in
+            ok := !ok && invalidated obs = invalidated fresh_obs
           done;
           !ok)
         [ 2; 3 ])
@@ -695,6 +764,8 @@ let suite =
     Alcotest.test_case "DFFR: readable gap at most 2" `Slow test_dffr_gap_at_most_2;
     QCheck_alcotest.to_alcotest prop_decider_certificates_replay;
     QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
+    Alcotest.test_case "kernel matches the reference on multi-word value sets" `Quick
+      test_kernel_multiword_values;
     QCheck_alcotest.to_alcotest prop_patched_kernel_matches_fresh_compile;
     QCheck_alcotest.to_alcotest prop_retargeted_kernel_matches_fresh_compile;
   ]
