@@ -27,7 +27,8 @@ check: build test inject-smoke stats-smoke soak-smoke serve-smoke dist-smoke syn
 # Then pin the kernel counters of a fixed {2,2,2} cap-4 census at one and
 # at two jobs: the census reuses one kernel per (domain, process count),
 # retargeted per table, and every count must land in the run's registry
-# exactly as 256 fresh compiles would put it there.
+# exactly as 256 fresh compiles would put it there.  A seeded 500-table
+# sample of {3,2,2} runs the same engine sweep and is pinned the same way.
 # The built binaries are invoked directly: two `dune exec` in one pipeline
 # contend for the _build lock.
 stats-smoke: build
@@ -44,8 +45,14 @@ stats-smoke: build
 	    | ./_build/default/tools/stats_check.exe --require-eq census.tables=256 \
 	        --require-eq decide.kernel_evals=15320 \
 	        --require-eq decide.partitions_pruned=8736 || exit 1; \
+	  ./_build/default/bin/rcn.exe census --values 3 --rws 2 --responses 2 --cap 4 \
+	    --sample 500 --seed 42 --jobs $$jobs --stats json \
+	    | tee $(SMOKE_DIR)/stats-smoke-sample-$$jobs.out \
+	    | ./_build/default/tools/stats_check.exe --require-eq census.tables=500 \
+	        --require-eq decide.kernel_evals=63672 || exit 1; \
 	done
-	rm -f $(SMOKE_DIR)/stats-smoke.out $(SMOKE_DIR)/stats-smoke-census-*.out
+	rm -f $(SMOKE_DIR)/stats-smoke.out $(SMOKE_DIR)/stats-smoke-census-*.out \
+	  $(SMOKE_DIR)/stats-smoke-sample-*.out
 
 # Fixed-seed fault-injection campaign over the known-broken protocols
 # (register race, test-and-set under crashes, and T_{3,1}'s recoverable

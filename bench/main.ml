@@ -493,7 +493,8 @@ let bench_tests () =
   let e11 =
     Test.make ~name:"e11/census-sample-100"
       (Staged.stage (fun () ->
-           Census.sample ~cap:3 ~seed:5 ~count:100
+           Pool.with_pool ~jobs:1 @@ fun pool ->
+           Engine.census ~sample:(100, 5) ~config:(Api.Config.v ~cap:3 ()) pool
              { Synth.num_values = 3; num_rws = 2; num_responses = 2 }))
   in
   let e7_product =

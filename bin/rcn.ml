@@ -428,6 +428,7 @@ let print_census ~flag progress = function
 let census_dist ~obs ~space ~config ~workers ~ledger ~resume ~lease_ttl ~chunk
     ~stride ~crash ~throttle sup_opts =
   let resp =
+    Dispatch.guard @@ fun () ->
     match
       Dist.census ~obs ?ledger ~resume ?lease_ttl ?chunk ?stride
         ?range_attempts:config.Api.Config.retries ~crash ~throttle ~workers
@@ -444,12 +445,6 @@ let census_dist ~obs ~space ~config ~workers ~ledger ~resume ~lease_ttl ~chunk
                complete = outcome.Dist.complete;
              })
     | exception Invalid_argument msg -> Api.Response.error msg
-    | exception ((Fsio.Io_error _ | Fsio.Corrupt _) as e) ->
-        Api.Response.error ~code:Api.Response.err_storage
-          (Option.value ~default:(Printexc.to_string e) (Fsio.error_message e))
-    | exception Unix.Unix_error (e, fn, _) ->
-        Api.Response.error ~code:Api.Response.err_internal
-          (Printf.sprintf "%s: %s" fn (Unix.error_message e))
   in
   finish ?quarantine_report:sup_opts.quarantine_report resp
     (print_census ~flag:"--ledger" ledger)

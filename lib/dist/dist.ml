@@ -123,9 +123,7 @@ let census ?obs ?rcn ?ledger ?(resume = false) ?(fsync = true)
         (Filename.temp_file "rcn-dist" ".ledger", true)
   in
   let expected =
-    Dist_ledger.header
-      ?sym_classes:(Option.map (fun _ -> ranks) rs.Engine.reps)
-      ~space ~cap ~total ()
+    Dist_ledger.header ?sym_classes:rs.Engine.sym_classes ~space ~cap ~total ()
   in
   let led, replayed =
     Dist_ledger.open_ledger ?obs ~fsync ~expected ~resume ledger_path

@@ -89,5 +89,5 @@ val census :
     [dist.workers_killed] / [dist.workers_respawned] /
     [dist.ranges_quarantined] / [dist.ranks_resumed] (plus the ledger's
     [dist.ledger_*]).
-    @raise Invalid_argument on nonsensical parameters or a ledger from
-    a different census. *)
+    @raise Invalid_argument on nonsensical parameters.
+    @raise Dist_ledger.Mismatch on a ledger from a different census. *)

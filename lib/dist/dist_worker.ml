@@ -49,10 +49,9 @@ let run ?obs ?(stride = 32) ?(throttle_us = 0) ?(crash_after = 0)
   let rs = Engine.census_ranks ~sym:config.Api.Config.sym space in
   let tables = Atomic.make 0 in
   let decide rank =
-    let ty =
-      Synth.to_objtype (Census.genome_of_index space (Engine.table_of_rank rs rank))
+    let levels =
+      Engine.census_levels ?obs cache ~kernel ~cap (Synth.to_objtype (rs.Engine.genome rank))
     in
-    let levels = Engine.census_levels ?obs cache ~kernel ~cap ty in
     if throttle_us > 0 then
       Obs.Clock.sleep (float_of_int throttle_us /. 1_000_000.);
     if crash_after > 0 && 1 + Atomic.fetch_and_add tables 1 >= crash_after then

@@ -202,15 +202,18 @@ let scan ~path contents =
     framed;
   (List.rev !out, good)
 
+exception Mismatch of string
+
 let check_header ~expected = function
   | [] -> ()
   | Header h :: _ ->
       if h <> expected then
-        invalid_arg
-          (Printf.sprintf
-             "Dist_ledger: ledger belongs to a different census (%S, expected %S)"
-             h expected)
-  | _ -> invalid_arg "Dist_ledger: ledger does not start with a header record"
+        raise
+          (Mismatch
+             (Printf.sprintf
+                "Dist_ledger: ledger belongs to a different census (%S, expected %S)"
+                h expected))
+  | _ -> raise (Mismatch "Dist_ledger: ledger does not start with a header record")
 
 let load path ~expected =
   if not (Sys.file_exists path) then ([], 0)

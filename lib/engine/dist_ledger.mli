@@ -55,6 +55,11 @@ val header : ?sym_classes:int -> space:Synth.space -> cap:int -> total:int -> un
     reinterprets class ranks as table indices or vice versa; without it
     the v1 bytes are unchanged. *)
 
+exception Mismatch of string
+(** The file is a ledger of a different census (its header is not the
+    [expected] one), or is nonempty without a leading header: resuming
+    it is the caller's mistake, not an I/O fault. *)
+
 val encode : record -> string
 (** The exact bytes {!append} writes — exposed so tests can compute
     record boundaries for truncate-at-every-offset pins. *)
@@ -64,8 +69,8 @@ val load : string -> expected:string -> record list * int
     A missing file is [([], 0)]; the replayable prefix ends at the first
     record that is cut short at end of file.
     @raise Fsio.Corrupt on a complete record failing CRC or decode.
-    @raise Invalid_argument when the ledger's header differs from
-    [expected] (or the file is nonempty without a leading header). *)
+    @raise Mismatch when the ledger's header differs from [expected]
+    (or the file is nonempty without a leading header). *)
 
 type t
 
@@ -91,7 +96,7 @@ val open_ledger :
     first failed append) and [dist.ledger_dropped] (appends dropped
     while degraded).
     @raise Fsio.Corrupt on mid-log corruption.
-    @raise Invalid_argument on a header mismatch. *)
+    @raise Mismatch on a header mismatch. *)
 
 val append : t -> record -> unit
 (** Append one record, flushed (and fsync'd when enabled) before
@@ -149,4 +154,4 @@ val plan_of_ledger : expected:string -> total:int -> string -> plan
     file is not modified.  The truncate-at-every-offset recovery tests
     and the soaks' final audits are built on this.
     @raise Fsio.Corrupt on mid-log corruption.
-    @raise Invalid_argument on a ledger from a different census. *)
+    @raise Mismatch on a ledger from a different census. *)

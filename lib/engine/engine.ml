@@ -179,82 +179,37 @@ let with_watchdog ?supervisor ~chunk sweep =
 
 let default_chunk pool total = max 1 (total / (8 * Pool.jobs pool))
 
-(* Deterministic parallel first-witness search: domains claim ranges of the
-   materialized candidate array and race to lower [best], the minimal
-   witnessing index found so far.  A range starting at or past [best] is
-   pruned.  Every index below the final minimum has been checked and
-   refuted, so the minimum is the sequential first witness.  With a
-   [deadline], every worker also polls the clock per candidate and abandons
-   the sweep on expiry — a found witness is still genuine, but an expired
-   sweep with no witness proves nothing and reports [Expired]. *)
 let search_label condition t ~n =
   Printf.sprintf "search %s %s n=%d" t.Objtype.name (condition_name condition) n
 
-let search_fanout ?obs ?deadline ?supervisor pool scheds condition t ~n =
-  let cands = Array.of_seq (Decide.candidates t ~n) in
-  let total = Array.length cands in
+(* The one deterministic first-witness search: domains claim ranges of
+   the rank space [\[0, total)] and race to lower [best], the minimal
+   witnessing rank found so far; a range past [best] stops early.  Every
+   rank below the final minimum has been checked and refuted, so the
+   minimum is the sequential first witness.  [check_range] decides one
+   claimed range (polling [stop] per candidate) and [candidate] rebuilds a
+   rank's [(u, team, ops)].  With a [deadline], every worker polls the
+   clock per candidate and abandons the sweep on expiry — a found witness
+   is still genuine, but an expired sweep with no witness proves nothing
+   and reports [Expired].  At one job without a supervisor the whole
+   range is one chunk, so a kernel search keeps one scratch and memo. *)
+let race ?obs ?deadline ?supervisor pool condition t ~n ~total ~check_range ~candidate =
   let counter = candidates_counter obs in
-  let label = search_label condition t ~n in
-  with_watchdog ?supervisor ~chunk:(default_chunk pool total) @@ fun ~chunk ~wd_stop ->
+  let chunk =
+    if Pool.jobs pool = 1 && Option.is_none supervisor then max 1 total
+    else default_chunk pool total
+  in
+  with_watchdog ?supervisor ~chunk @@ fun ~chunk ~wd_stop ->
   let tainted = quarantine_fence supervisor in
   let best = Atomic.make max_int in
   let timed_out = Atomic.make false in
   let completed =
-    Pool.parallel_for_until pool ~chunk ?supervisor ~label
+    (* the label only names a chunk in the supervisor's ledger *)
+    Pool.parallel_for_until pool ~chunk ?supervisor
+      ?label:(Option.map (fun _ -> search_label condition t ~n) supervisor)
       ~should_stop:(fun () -> Atomic.get timed_out || wd_stop ())
       total
       (fun lo hi ->
-        let checked = ref 0 in
-        let i = ref lo in
-        while !i < hi && !i < Atomic.get best && not (Atomic.get timed_out) do
-          if expired deadline then begin
-            Atomic.set timed_out true;
-            i := hi
-          end
-          else begin
-            let u, team, ops = cands.(!i) in
-            incr checked;
-            if Decide.check condition t scheds ~u ~team ~ops then begin
-              let rec lower () =
-                let b = Atomic.get best in
-                if !i < b && not (Atomic.compare_and_set best b !i) then lower ()
-              in
-              lower ();
-              i := hi
-            end
-            else incr i
-          end
-        done;
-        count_checked counter !checked)
-  in
-  match Atomic.get best with
-  | b when b = max_int ->
-      if Atomic.get timed_out || not completed || tainted () then Expired else Refuted
-  | b ->
-      let u, team, ops = cands.(b) in
-      Found (Certificate.make ~objtype:t ~initial:u ~team ~ops)
-
-(* Kernelized variant of the fan-out: no candidate materialization — the
-   kernel's dense rank space *is* the chunked index space, each worker
-   evaluates its ranges through a private scratch, and the same
-   minimal-rank race gives the same sequential-first-witness guarantee.
-   The kernel is compiled on the submitting domain, so workers share the
-   (immutable) tables and trie and only their scratches are private. *)
-let search_fanout_kernel ?obs ?deadline ?supervisor pool condition t ~n =
-  let k = Kernel.compile ?obs t ~n in
-  let counter = candidates_counter obs in
-  let label = search_label condition t ~n in
-  with_watchdog ?supervisor ~chunk:(default_chunk pool (Kernel.total k))
-  @@ fun ~chunk ~wd_stop ->
-  let tainted = quarantine_fence supervisor in
-  let best = Atomic.make max_int in
-  let timed_out = Atomic.make false in
-  let completed =
-    Pool.parallel_for_until pool ~chunk ?supervisor ~label
-      ~should_stop:(fun () -> Atomic.get timed_out || wd_stop ())
-      (Kernel.total k)
-      (fun lo hi ->
-        let s = Kernel.scratch k in
         let stop rank =
           if expired deadline then begin
             Atomic.set timed_out true;
@@ -262,91 +217,61 @@ let search_fanout_kernel ?obs ?deadline ?supervisor pool condition t ~n =
           end
           else rank >= Atomic.get best
         in
-        let witness, checked = Kernel.search_range k s condition ~lo ~hi ~stop in
+        let witness, checked = check_range ~lo ~hi ~stop in
         count_checked counter checked;
-        match witness with
-        | Some r ->
+        Option.iter
+          (fun r ->
             let rec lower () =
               let b = Atomic.get best in
               if r < b && not (Atomic.compare_and_set best b r) then lower ()
             in
-            lower ()
-        | None -> ())
+            lower ())
+          witness)
   in
   match Atomic.get best with
   | b when b = max_int ->
       if Atomic.get timed_out || not completed || tainted () then Expired else Refuted
   | b ->
-      let u, team, ops = Kernel.candidate k b in
+      let u, team, ops = candidate b in
       Found (Certificate.make ~objtype:t ~initial:u ~team ~ops)
 
-let search_sequential_kernel ?obs ~deadline condition t ~n =
-  let k = Kernel.compile ?obs t ~n in
-  let s = Kernel.scratch k in
-  let counter = candidates_counter obs in
-  let timed_out = ref false in
-  let stop _ =
-    if expired deadline then begin
-      timed_out := true;
-      true
-    end
-    else false
+(* The reference checker: [Decide.check] over the materialized
+   [Decide.candidates] array, so the reference path enumerates
+   independently of the kernel. *)
+let check_candidates condition t scheds cands ~lo ~hi ~stop =
+  let rec go i checked =
+    if i >= hi || stop i then (None, checked)
+    else
+      let u, team, ops = cands.(i) in
+      if Decide.check condition t scheds ~u ~team ~ops then (Some i, checked + 1)
+      else go (i + 1) (checked + 1)
   in
-  let witness, checked = Kernel.search_range k s condition ~lo:0 ~hi:(Kernel.total k) ~stop in
-  count_checked counter checked;
-  match witness with
-  | Some r ->
-      let u, team, ops = Kernel.candidate k r in
-      Found (Certificate.make ~objtype:t ~initial:u ~team ~ops)
-  | None -> if !timed_out then Expired else Refuted
+  go lo 0
 
-(* Sequential sweep with per-candidate deadline polls; identical
-   enumeration order to [Decide.search]. *)
-let search_sequential ?obs ~deadline scheds condition t ~n =
-  let counter = candidates_counter obs in
-  let checked = ref 0 in
-  let finish outcome =
-    count_checked counter !checked;
-    outcome
-  in
-  let rec loop seq =
-    match seq () with
-    | Seq.Nil -> finish Refuted
-    | Seq.Cons ((u, team, ops), rest) ->
-        if expired deadline then finish Expired
-        else begin
-          incr checked;
-          if Decide.check condition t scheds ~u ~team ~ops then
-            finish (Found (Certificate.make ~objtype:t ~initial:u ~team ~ops))
-          else loop rest
-        end
-  in
-  loop (Decide.candidates t ~n)
-
-(* Supervised queries always take the chunked fan-out path — at [jobs = 1]
-   it degenerates to the pool's supervised sequential drain — so retry,
-   quarantine and watchdog semantics are identical at every job count. *)
+(* Supervised queries take the chunked fan-out — at [jobs = 1] it
+   degenerates to the pool's supervised sequential drain — so retry,
+   quarantine and watchdog semantics are identical at every job count.
+   The kernel is compiled on the submitting domain, so workers share its
+   (immutable) tables and trie; each chunk owns a private scratch. *)
 let search_uncached ?scheds ?obs ?deadline ?supervisor ?(kernel = Kernel.Trie) pool
     condition t ~n =
   if expired deadline then Expired
   else
-    let plain = Pool.jobs pool = 1 && Option.is_none supervisor in
     match kernel with
-    | Kernel.Reference -> (
+    | Kernel.Reference ->
         let scheds =
           match scheds with Some s -> s | None -> Sched.at_most_once ~nprocs:n
         in
-        if plain then
-          match (deadline, obs) with
-          | None, None -> (
-              match Decide.search ~scheds ~mode:Kernel.Reference condition t ~n with
-              | Some c -> Found c
-              | None -> Refuted)
-          | _ -> search_sequential ?obs ~deadline scheds condition t ~n
-        else search_fanout ?obs ?deadline ?supervisor pool scheds condition t ~n)
+        let cands = Array.of_seq (Decide.candidates t ~n) in
+        race ?obs ?deadline ?supervisor pool condition t ~n ~total:(Array.length cands)
+          ~check_range:(check_candidates condition t scheds cands)
+          ~candidate:(Array.get cands)
     | Kernel.Trie ->
-        if plain then search_sequential_kernel ?obs ~deadline condition t ~n
-        else search_fanout_kernel ?obs ?deadline ?supervisor pool condition t ~n
+        let k = Kernel.compile ?obs t ~n in
+        race ?obs ?deadline ?supervisor pool condition t ~n ~total:(Kernel.total k)
+          ~check_range:(fun ~lo ~hi ~stop ->
+            Kernel.search_range k (Kernel.scratch k) condition ~lo ~hi ~stop)
+          ~candidate:(Kernel.candidate k)
 
 let outcome_of_option = function Some c -> Found c | None -> Refuted
 
@@ -518,43 +443,75 @@ let census_levels ?obs cache ~kernel ~cap ty =
 
 type census_ranks = {
   ranks : int;
-  reps : int array option;
+  sym_classes : int option;
+  genome : int -> Synth.genome;
   weight : lo:int -> hi:int -> int;
 }
 
-(* Symmetry reduction: enumerate the canonical representative of every
+(* Three rank spaces, one sweep.  Exhaustive: rank [i] is table index
+   [i].  Sampled: rank [i] is the [i]-th [Synth.random_genome] draw of
+   [Random.State.make [| seed; count |]] — that order is what makes a
+   sampled histogram (and its store record) reproducible — kept flat as
+   one [r * nv + v] digit per cell (the digit [Census.genome_of_index]
+   decodes), so a space too large to index still samples.  Symmetry
+   reduction: enumerate the canonical representative of every
    isomorphism class once, decide only those, and let each verdict count
-   [orbit] tables in the histogram.  The scan is sequential and
-   deterministic, so every process that performs it (this engine, the
-   distributed coordinator, each worker) derives the identical rank
+   [orbit] tables in the histogram.  Every construction is sequential
+   and deterministic, so every process that performs it (this engine,
+   the distributed coordinator, each worker) derives the identical rank
    space. *)
-let census_ranks ?obs ~sym space =
-  if not sym then
-    { ranks = Census.space_size space; reps = None; weight = (fun ~lo ~hi -> hi - lo) }
-  else begin
-    let t0 = Obs.Clock.now () in
-    let s =
-      Sym.make ~values:space.Synth.num_values ~ops:space.Synth.num_rws
-        ~responses:space.Synth.num_responses
-    in
-    let reps, orbits = Sym.classes s in
-    (match obs with
-    | None -> ()
-    | Some o ->
-        Obs.Metrics.Counter.add (Obs.counter o "sym.classes") (Array.length reps);
-        Obs.Metrics.Counter.add (Obs.counter o "sym.orbit_max")
-          (Array.fold_left max 0 orbits);
-        Obs.Metrics.Counter.add (Obs.counter o "sym.canon_ns")
-          (int_of_float ((Obs.Clock.now () -. t0) *. 1e9)));
-    (* weight-prefix sums: [wsum.(i)] tables live below rank [i] *)
-    let ranks = Array.length reps in
-    let wsum = Array.make (ranks + 1) 0 in
-    Array.iteri (fun i w -> wsum.(i + 1) <- wsum.(i) + w) orbits;
-    assert (wsum.(ranks) = Census.space_size space);
-    { ranks; reps = Some reps; weight = (fun ~lo ~hi -> wsum.(hi) - wsum.(lo)) }
-  end
-
-let table_of_rank rs i = match rs.reps with Some reps -> reps.(i) | None -> i
+let census_ranks ?obs ?sample ~sym space =
+  let nv = space.Synth.num_values in
+  let width ~lo ~hi = hi - lo in
+  match sample with
+  | Some (count, seed) ->
+      let cells = nv * space.Synth.num_rws in
+      let digits = Array.make (count * cells) 0 in
+      let rng = Random.State.make [| seed; count |] in
+      for i = 0 to count - 1 do
+        Array.iteri
+          (fun c (r, v) -> digits.((i * cells) + c) <- (r * nv) + v)
+          (Synth.table (Synth.random_genome rng space))
+      done;
+      let genome i =
+        Synth.of_table space
+          (Array.init cells (fun c ->
+               let d = digits.((i * cells) + c) in
+               (d / nv, d mod nv)))
+      in
+      { ranks = count; sym_classes = None; genome; weight = width }
+  | None when not sym ->
+      {
+        ranks = Census.space_size space;
+        sym_classes = None;
+        genome = Census.genome_of_index space;
+        weight = width;
+      }
+  | None ->
+      let t0 = Obs.Clock.now () in
+      let s =
+        Sym.make ~values:nv ~ops:space.Synth.num_rws ~responses:space.Synth.num_responses
+      in
+      let reps, orbits = Sym.classes s in
+      (match obs with
+      | None -> ()
+      | Some o ->
+          Obs.Metrics.Counter.add (Obs.counter o "sym.classes") (Array.length reps);
+          Obs.Metrics.Counter.add (Obs.counter o "sym.orbit_max")
+            (Array.fold_left max 0 orbits);
+          Obs.Metrics.Counter.add (Obs.counter o "sym.canon_ns")
+            (int_of_float ((Obs.Clock.now () -. t0) *. 1e9)));
+      (* weight-prefix sums: [wsum.(i)] tables live below rank [i] *)
+      let ranks = Array.length reps in
+      let wsum = Array.make (ranks + 1) 0 in
+      Array.iteri (fun i w -> wsum.(i + 1) <- wsum.(i) + w) orbits;
+      assert (wsum.(ranks) = Census.space_size space);
+      {
+        ranks;
+        sym_classes = Some ranks;
+        genome = (fun i -> Census.genome_of_index space reps.(i));
+        weight = (fun ~lo ~hi -> wsum.(hi) - wsum.(lo));
+      }
 
 (* Warm the shared per-[n] structures (schedule memo / compiled tries)
    on the submitting domain so workers only read. *)
@@ -577,22 +534,24 @@ type census_run = {
 let add_count hist key w =
   Hashtbl.replace hist key (w + Option.value ~default:0 (Hashtbl.find_opt hist key))
 
-let census ?cache ?obs ?supervisor ?checkpoint ?(resume = false) ?(durable = false)
-    ?injector ~(config : Api.Config.t) pool space =
+let census ?cache ?obs ?supervisor ?sample ?checkpoint ?(resume = false)
+    ?(durable = false) ?injector ~(config : Api.Config.t) pool space =
+  if sample <> None && (checkpoint <> None || resume || durable) then
+    invalid_arg "Engine.census: a sampled census takes no checkpoint";
   let cap = config.Api.Config.cap in
   let kernel = config.Api.Config.kernel in
   let deadline = resolve_deadline config in
   Obs.with_span ?obs "engine.census" @@ fun () ->
   let cache = match cache with Some c -> c | None -> Cache.create ?obs () in
-  let size = Census.space_size space in
   let c_tables = Option.map (fun o -> Obs.counter o "census.tables") obs in
   let c_flushes = Option.map (fun o -> Obs.counter o "census.checkpoint_flushes") obs in
   let c_skips = Option.map (fun o -> Obs.counter o "census.resume_skips") obs in
-  (* The sweep below runs over "ranks": table indices normally, class
-     ranks under [--sym].  [resumed]/[completed]/the histogram stay in
-     table units either way, so summaries are mode-independent. *)
-  let rs = census_ranks ?obs ~sym:config.Api.Config.sym space in
+  (* The sweep below runs over "ranks": table indices, sample draws, or
+     class ranks under [--sym].  [resumed]/[completed]/the histogram stay
+     in table units either way, so summaries are mode-independent. *)
+  let rs = census_ranks ?obs ?sample ~sym:config.Api.Config.sym space in
   let ranks = rs.ranks in
+  let size = rs.weight ~lo:0 ~hi:ranks in
   let weight i = rs.weight ~lo:i ~hi:(i + 1) in
   warm_census ?obs cache ~kernel ~cap;
   (* The checkpoint is a census ledger: a header, then one [Done] record
@@ -603,9 +562,7 @@ let census ?cache ?obs ?supervisor ?checkpoint ?(resume = false) ?(durable = fal
     Option.map
       (fun path ->
         let expected =
-          Dist_ledger.header
-            ?sym_classes:(Option.map (fun _ -> ranks) rs.reps)
-            ~space ~cap ~total:size ()
+          Dist_ledger.header ?sym_classes:rs.sym_classes ~space ~cap ~total:size ()
         in
         Dist_ledger.open_ledger ?obs ?injector ~fsync:durable ~expected ~resume path)
       checkpoint
@@ -673,10 +630,8 @@ let census ?cache ?obs ?supervisor ?checkpoint ?(resume = false) ?(durable = fal
              let i = ref lo in
              while !i < hi && not (expired deadline) do
                if not finished.(!i) then begin
-                 let ty =
-                   Synth.to_objtype (Census.genome_of_index space (table_of_rank rs !i))
-                 in
-                 levels.(!i) <- census_levels ?obs cache ~kernel ~cap ty;
+                 levels.(!i) <-
+                   census_levels ?obs cache ~kernel ~cap (Synth.to_objtype (rs.genome !i));
                  finished.(!i) <- true;
                  incr fresh;
                  fresh_weight := !fresh_weight + weight !i

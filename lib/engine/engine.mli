@@ -5,12 +5,14 @@
 
     Determinism is by construction, not by luck:
 
-    - {!search} materializes [Decide.candidates] (the sequential
-      enumeration order) into an array and the domains race to *lower* a
-      shared minimal witnessing index, pruning ranges past the current
-      minimum.  Every index below the final minimum has been checked and
-      refuted, so the returned certificate is exactly the sequential
-      first witness.
+    - {!search} runs one fan-out over a candidate rank space — the
+      compiled kernel's dense ranks, or under [Kernel.Reference] the
+      materialized [Decide.candidates] array (the sequential enumeration
+      order) — and the domains race to *lower* a shared minimal
+      witnessing rank, pruning ranges past the current minimum.  Every
+      rank below the final minimum has been checked and refuted, so the
+      returned certificate is exactly the sequential first witness.  At
+      one job without a supervisor the whole space is one chunk.
     - {!census} writes each table's (discerning, recording) levels into
       its own slot of a preallocated array — disjoint writes, no merge
       order — and tallies sequentially, so the histogram is identical at
@@ -240,20 +242,28 @@ val census_levels :
     distinct, so an outcome memo would only grow. *)
 
 type census_ranks = {
-  ranks : int;  (** ranks the sweep runs over: tables, or classes under [sym] *)
-  reps : int array option;  (** under [sym], each rank's table index *)
+  ranks : int;  (** ranks the sweep runs over: tables, sample draws or classes *)
+  sym_classes : int option;
+      (** under [sym], the class count the ledger header pins *)
+  genome : int -> Synth.genome;  (** the table a rank decides *)
   weight : lo:int -> hi:int -> int;
       (** tables ranks [\[lo, hi)] account for: the width, or the orbit
           sizes' sum under [sym] ([Dist_ledger.replay_done]'s weight) *)
 }
 
-val census_ranks : ?obs:Obs.t -> sym:bool -> Synth.space -> census_ranks
+val census_ranks :
+  ?obs:Obs.t -> ?sample:int * int -> sym:bool -> Synth.space -> census_ranks
 (** The rank space {!census}, the distributed coordinator and its
-    workers all shard and weigh.  With [sym], one rank per isomorphism
-    class ([Sym.classes], deterministic); with [obs], counts
-    [sym.classes], [sym.orbit_max] and [sym.canon_ns]. *)
-
-val table_of_rank : census_ranks -> int -> int
+    workers all shard and weigh.  Three cases:
+    - exhaustive (the default): rank [i] is table [Census.genome_of_index
+      space i], weight 1;
+    - [sample:(count, seed)]: [count] ranks of weight 1, the successive
+      [Synth.random_genome] draws of [Random.State.make [| seed; count |]]
+      (stored flat, one digit per cell, so the space need not fit an
+      [int]); [sym] is ignored and no classes are built;
+    - [sym]: one rank per isomorphism class ([Sym.classes],
+      deterministic), weighted by its orbit size; with [obs], counts
+      [sym.classes], [sym.orbit_max] and [sym.canon_ns]. *)
 
 val warm_census : ?obs:Obs.t -> Cache.t -> kernel:Kernel.mode -> cap:int -> unit
 (** Build what {!census_levels} reads (schedule sets or compiled tries)
@@ -276,6 +286,7 @@ val census :
   ?cache:Cache.t ->
   ?obs:Obs.t ->
   ?supervisor:Supervise.t ->
+  ?sample:int * int ->
   ?checkpoint:string ->
   ?resume:bool ->
   ?durable:bool ->
@@ -284,15 +295,19 @@ val census :
   Pool.t ->
   Synth.space ->
   census_run
-(** [Census.exhaustive ~cap:config.cap space] with table indices
+(** [Census.exhaustive ~cap:config.cap space] with the {!census_ranks}
     partitioned across the domains and [S(P)] shared through the cache;
     when [complete], the histogram is identical to the sequential census
-    at any job count.
+    at any job count.  [sample:(count, seed)] sweeps the sampled rank
+    space instead — [count] seeded random tables, decided with the same
+    jobs, deadline and supervision, [sym] ignored — and combines with
+    none of [checkpoint], [resume] or [durable] ([Invalid_argument]).
+    [total] is the rank space's weight sum: the space size, or [count].
 
     [checkpoint] names a {!Dist_ledger} file, the format the
     distributed coordinator writes: a header pinning space, cap and size
     (a stale file from another census is rejected with
-    [Invalid_argument]), then one [Done] record per maximal run of ranks
+    [Dist_ledger.Mismatch]), then one [Done] record per maximal run of ranks
     a pool chunk decided, flushed as it finishes ([kill -9]-safe).
     [resume] (with [checkpoint]) replays the file through
     [Dist_ledger.replay_done] and recomputes only the gaps, for the

@@ -39,56 +39,58 @@ let synth_digest ~(config : Api.Config.t) space ~target ~seed ~iterations
       ~portfolio
   else Api.synth_digest space ~target ~seed ~iterations ~restart_every ~portfolio
 
-(* A store hit replays the exact bytes the cold run published — decode
-   them back into the analysis; a record that no longer decodes (a
-   foreign or corrupt store file) is reported, not served. *)
-let store_hit store ~digest =
-  match Store.find store digest with
-  | None -> None
-  | Some payload ->
-      Some
-        (match Result.bind (Wire.of_string payload) Api.analysis_of_json with
-        | Ok analysis ->
-            Api.Response.make (Api.Response.Analysis { analysis; from_store = true })
-        | Error msg ->
-            Api.Response.error ~code:Api.Response.err_internal
-              (Printf.sprintf "store record %s undecodable: %s" digest msg))
+(* How one memoized query kind travels through the store.  The store
+   keeps the canonical body bytes of the pristine cold run, so a warm
+   query replays them and its body is byte-identical to the cold one; a
+   record that no longer decodes (a foreign or corrupt store file) is
+   reported, not served.  Checkpoint/resume censuses are never memoized —
+   their result is a function of the checkpoint file, not of the
+   query. *)
+type 'a stored = {
+  encode : 'a -> Wire.t;
+  decode : Wire.t -> ('a, string) result;
+  replayed : 'a -> Api.Response.body;
+}
 
-(* Census and synth results are memoized with the same byte-replay
-   guarantee as analyses: the store keeps the canonical body bytes of
-   the pristine cold run, so a warm query's body is byte-identical to
-   the cold one.  Checkpoint/resume censuses are never memoized — their
-   result is a function of the checkpoint file, not of the query. *)
+let stored_analysis =
+  {
+    encode = Api.analysis_to_json;
+    decode = Api.analysis_of_json;
+    replayed = (fun analysis -> Api.Response.Analysis { analysis; from_store = true });
+  }
+
+let stored_census =
+  {
+    encode = Api.Response.census_summary_to_json;
+    decode = Api.Response.census_summary_of_json;
+    replayed = (fun c -> Api.Response.Census c);
+  }
+
+let stored_synth =
+  {
+    encode = Api.Response.witness_opt_to_json;
+    decode = Api.Response.witness_opt_of_json;
+    replayed = (fun witness -> Api.Response.Synth { witness });
+  }
+
+let store_hit kind store ~digest =
+  Option.map
+    (fun payload ->
+      match Result.bind (Wire.of_string payload) kind.decode with
+      | Ok v -> Api.Response.make (kind.replayed v)
+      | Error msg ->
+          Api.Response.error ~code:Api.Response.err_internal
+            (Printf.sprintf "store record %s undecodable: %s" digest msg))
+    (Store.find store digest)
+
+let publish kind env ~digest v =
+  Option.iter
+    (fun store -> Store.put store ~key:digest (Wire.to_string (kind.encode v)))
+    env.store
 
 let census_memoizable ~checkpoint ~resume ~durable ~(config : Api.Config.t) =
   checkpoint = None && (not resume) && (not durable)
   && config.Api.Config.deadline = None
-
-let census_store_hit store ~digest =
-  match Store.find store digest with
-  | None -> None
-  | Some payload ->
-      Some
-        (match
-           Result.bind (Wire.of_string payload) Api.Response.census_summary_of_json
-         with
-        | Ok c -> Api.Response.make (Api.Response.Census c)
-        | Error msg ->
-            Api.Response.error ~code:Api.Response.err_internal
-              (Printf.sprintf "store record %s undecodable: %s" digest msg))
-
-let synth_store_hit store ~digest =
-  match Store.find store digest with
-  | None -> None
-  | Some payload ->
-      Some
-        (match
-           Result.bind (Wire.of_string payload) Api.Response.witness_opt_of_json
-         with
-        | Ok witness -> Api.Response.make (Api.Response.Synth { witness })
-        | Error msg ->
-            Api.Response.error ~code:Api.Response.err_internal
-              (Printf.sprintf "store record %s undecodable: %s" digest msg))
 
 let fast_path ~obs ?store ~command (req : Api.Request.t) =
   match req with
@@ -100,20 +102,20 @@ let fast_path ~obs ?store ~command (req : Api.Request.t) =
       | Some store -> (
           match Objtype.of_spec_string spec with
           | exception Objtype.Ill_formed _ -> None (* let [run] report it *)
-          | ty -> store_hit store ~digest:(analyze_digest ~config ty)))
+          | ty -> store_hit stored_analysis store ~digest:(analyze_digest ~config ty)))
   | Api.Request.Census { space; sample; seed; checkpoint; resume; durable; config }
     when census_memoizable ~checkpoint ~resume ~durable ~config -> (
       match store with
       | None -> None
       | Some store ->
-          census_store_hit store
+          store_hit stored_census store
             ~digest:(Api.census_digest space ~cap:config.Api.Config.cap ~sample ~seed))
   | Api.Request.Synth { space; target; seed; iterations; restart_every; portfolio; config }
     when config.Api.Config.deadline = None -> (
       match store with
       | None -> None
       | Some store ->
-          synth_store_hit store
+          store_hit stored_synth store
             ~digest:
               (synth_digest ~config space ~target ~seed ~iterations ~restart_every
                  ~portfolio))
@@ -140,7 +142,7 @@ let run_analyze env ~spec ~(config : Api.Config.t) =
       let digest = analyze_digest ~config ty in
       (* Re-probe under the pool owner: the fast path may have lost a race
          with the compute that published this digest. *)
-      match Option.bind env.store (fun s -> store_hit s ~digest) with
+      match Option.bind env.store (store_hit stored_analysis ~digest) with
       | Some resp -> resp
       | None ->
           let supervisor =
@@ -155,11 +157,7 @@ let run_analyze env ~spec ~(config : Api.Config.t) =
              quarantine-degraded analysis is this run's truth, not the
              query's. *)
           if config.Api.Config.deadline = None && quarantined = [] then
-            Option.iter
-              (fun store ->
-                Store.put store ~key:digest
-                  (Wire.to_string (Api.analysis_to_json analysis)))
-              env.store;
+            publish stored_analysis env ~digest analysis;
           Api.Response.make ~retries ~watchdog_trips ~quarantined
             (Api.Response.Analysis { analysis; from_store = false }))
 
@@ -173,77 +171,52 @@ let run_census env ~space ~sample ~seed ~checkpoint ~resume ~durable
      with the compute that published this digest. *)
   match
     if memoizable then
-      Option.bind env.store (fun s -> census_store_hit s ~digest:(digest ()))
+      Option.bind env.store (store_hit stored_census ~digest:(digest ()))
     else None
   with
   | Some resp -> resp
-  | None -> (
-      let publish (c : Api.Response.census_summary) =
-        if memoizable && c.Api.Response.complete then
-          Option.iter
-            (fun store ->
-              Store.put store ~key:(digest ())
-                (Wire.to_string (Api.Response.census_summary_to_json c)))
-            env.store
+  | None ->
+      let supervisor =
+        Api.Config.supervisor config ~obs:env.supervision_obs
+          ~jobs:(Pool.jobs env.pool)
       in
-      match sample with
-      | Some count ->
-          (* Sampling census: the sequential estimator over random tables —
-             the sweep machinery (checkpoints, resume) is exhaustive-only.
-             Deterministic in (sample, seed), so always pristine. *)
-          let entries = Census.sample ~cap:config.Api.Config.cap ~seed ~count space in
-          let c =
+      let run =
+        Engine.census ~cache:env.cache ~obs:env.obs ?supervisor
+          ?sample:(Option.map (fun count -> (count, seed)) sample)
+          ?checkpoint ~resume ~durable ~config env.pool space
+      in
+      let retries, watchdog_trips, quarantined = ledger supervisor in
+      (* A checkpoint-writer failure degrades the run the same way a
+         quarantined chunk does: a synthetic quarantine entry turns
+         the exit PARTIAL and names the storage failure — decided
+         tables past the failure were never made durable. *)
+      let quarantined =
+        match run.Engine.storage_error with
+        | None -> quarantined
+        | Some msg ->
             {
-              Api.Response.entries;
-              total = count;
-              completed = count;
-              resumed = 0;
-              complete = true;
+              Supervise.q_context = "census.checkpoint";
+              q_lo = 0;
+              q_hi = 0;
+              q_attempts = 1;
+              q_error = "checkpoint append failed: " ^ msg;
             }
-          in
-          publish c;
-          Api.Response.make (Api.Response.Census c)
-      | None ->
-          let supervisor =
-            Api.Config.supervisor config ~obs:env.supervision_obs
-              ~jobs:(Pool.jobs env.pool)
-          in
-          let run =
-            Engine.census ~cache:env.cache ~obs:env.obs ?supervisor ?checkpoint ~resume
-              ~durable ~config env.pool space
-          in
-          let retries, watchdog_trips, quarantined = ledger supervisor in
-          (* A checkpoint-writer failure degrades the run the same way a
-             quarantined chunk does: a synthetic quarantine entry turns
-             the exit PARTIAL and names the storage failure — decided
-             tables past the failure were never made durable. *)
-          let quarantined =
-            match run.Engine.storage_error with
-            | None -> quarantined
-            | Some msg ->
-                {
-                  Supervise.q_context = "census.checkpoint";
-                  q_lo = 0;
-                  q_hi = 0;
-                  q_attempts = 1;
-                  q_error = "checkpoint append failed: " ^ msg;
-                }
-                :: quarantined
-          in
-          let c =
-            {
-              Api.Response.entries = run.Engine.entries;
-              total = run.Engine.total;
-              completed = run.Engine.completed;
-              resumed = run.Engine.resumed;
-              complete = run.Engine.complete;
-            }
-          in
-          (* Only publish pristine results: quarantine holes (or an
-             incomplete sweep) are this run's truth, not the query's. *)
-          if quarantined = [] then publish c;
-          Api.Response.make ~retries ~watchdog_trips ~quarantined
-            (Api.Response.Census c))
+            :: quarantined
+      in
+      let c =
+        {
+          Api.Response.entries = run.Engine.entries;
+          total = run.Engine.total;
+          completed = run.Engine.completed;
+          resumed = run.Engine.resumed;
+          complete = run.Engine.complete;
+        }
+      in
+      (* Only publish pristine results: quarantine holes (or an
+         incomplete sweep) are this run's truth, not the query's. *)
+      if memoizable && c.Api.Response.complete && quarantined = [] then
+        publish stored_census env ~digest:(digest ()) c;
+      Api.Response.make ~retries ~watchdog_trips ~quarantined (Api.Response.Census c)
 
 let run_synth env ~space ~target ~seed ~iterations ~restart_every ~portfolio
     ~(config : Api.Config.t) =
@@ -253,7 +226,7 @@ let run_synth env ~space ~target ~seed ~iterations ~restart_every ~portfolio
   in
   match
     if memoizable then
-      Option.bind env.store (fun s -> synth_store_hit s ~digest:(digest ()))
+      Option.bind env.store (store_hit stored_synth ~digest:(digest ()))
     else None
   with
   | Some resp -> resp
@@ -269,30 +242,31 @@ let run_synth env ~space ~target ~seed ~iterations ~restart_every ~portfolio
       (* A no-witness outcome is as deterministic as a witness — both are
          cached; quarantine holes mean the search was cut, so neither. *)
       if memoizable && quarantined = [] then
-        Option.iter
-          (fun store ->
-            Store.put store ~key:(digest ())
-              (Wire.to_string (Api.Response.witness_opt_to_json witness)))
-          env.store;
+        publish stored_synth env ~digest:(digest ()) witness;
       Api.Response.make ~retries ~watchdog_trips ~quarantined
         (Api.Response.Synth { witness })
+
+let storage_error e =
+  Api.Response.error ~code:Api.Response.err_storage
+    (Option.value ~default:(Printexc.to_string e) (Fsio.error_message e))
+
+(* Durable storage that fails mid-request has already flipped the store
+   to sticky read-only, so the daemon stays up and answers honestly
+   instead of crashing. *)
+let guard f =
+  try f () with
+  | Dist_ledger.Mismatch msg -> Api.Response.error msg
+  | (Fsio.Io_error _ | Fsio.Corrupt _) as e -> storage_error e
+  | Unix.Unix_error (e, fn, _) ->
+      Api.Response.error ~code:Api.Response.err_internal
+        (Printf.sprintf "%s: %s" fn (Unix.error_message e))
+  | exn -> Api.Response.error ~code:Api.Response.err_internal (Printexc.to_string exn)
 
 let run env (req : Api.Request.t) =
   let checked f =
     match Api.Request.validate req with
     | Error msg -> Api.Response.error msg
-    | Ok () -> (
-        try f () with
-        | (Fsio.Io_error _ | Fsio.Corrupt _) as e ->
-            (* Durable storage failed mid-request: the store has already
-               flipped to sticky read-only, so the daemon stays up and
-               answers honestly instead of crashing. *)
-            Api.Response.error ~code:Api.Response.err_storage
-              (Option.value ~default:(Printexc.to_string e)
-                 (Fsio.error_message e))
-        | exn ->
-            Api.Response.error ~code:Api.Response.err_internal
-              (Printexc.to_string exn))
+    | Ok () -> guard f
   in
   match req with
   | Api.Request.Ping -> Api.Response.make Api.Response.Pong
@@ -312,6 +286,4 @@ let handle env req =
   match fast_path ~obs:env.obs ?store:env.store ~command:env.command req with
   | Some resp -> resp
   | None -> run env req
-  | exception ((Fsio.Io_error _ | Fsio.Corrupt _) as e) ->
-      Api.Response.error ~code:Api.Response.err_storage
-        (Option.value ~default:(Printexc.to_string e) (Fsio.error_message e))
+  | exception ((Fsio.Io_error _ | Fsio.Corrupt _) as e) -> storage_error e

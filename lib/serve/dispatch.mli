@@ -41,6 +41,14 @@ val fast_path :
     result is timing-dependent, so such queries bypass the store
     entirely).  [None] means the request needs {!run}. *)
 
+val guard : (unit -> Api.Response.t) -> Api.Response.t
+(** Run a request body, answering its exceptions as error responses
+    instead of raising: a ledger from another census
+    ([Dist_ledger.Mismatch]) is [err_invalid], a failed durable store or
+    progress file ([Fsio.Io_error] / [Fsio.Corrupt]) [err_storage], and
+    anything else [err_internal].  {!run} and the CLI's distributed
+    census share it, so both report a mismatch alike. *)
+
 val run : env -> Api.Request.t -> Api.Response.t
 (** Execute on the engine.  Must be called from the thread that owns
     [env.pool].  Validates the config ({!Api.Config.validate} — failures

@@ -46,10 +46,6 @@ let exhaustive ?(cap = 4) space =
   let size = space_size space in
   tally ~cap (Seq.init size (genome_of_index space))
 
-let sample ?(cap = 4) ~seed ~count space =
-  let rng = Random.State.make [| seed; count |] in
-  tally ~cap (Seq.init count (fun _ -> Synth.random_genome rng space))
-
 let gap_share entries ~levels =
   let total = List.fold_left (fun acc e -> acc + e.count) 0 entries in
   let hit =

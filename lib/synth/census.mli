@@ -1,11 +1,16 @@
 (** A census of the recoverable consensus hierarchy over *all* small
     readable deterministic types: for every transition table in a
-    {!Synth.space} (or a random sample of a larger space), determine
-    max-discerning and max-recording and histogram the pairs.
+    {!Synth.space}, determine max-discerning and max-recording and
+    histogram the pairs.
 
     This answers a question the paper provokes but cannot ask without a
     decider: how are consensus numbers and recoverable consensus numbers
-    *distributed*, and how rare are gap types?  (Experiment E11.) *)
+    *distributed*, and how rare are gap types?  (Experiment E11.)
+
+    {!exhaustive} is the sequential reference: every table decided by a
+    fresh [Numbers] scan.  The census that runs — parallel, sampled,
+    symmetry-reduced, checkpointed — is [Engine.census]; the tests
+    compare its histograms against this one. *)
 
 type entry = {
   discerning : int;  (** level, with the cap standing in for "at least cap" *)
@@ -24,18 +29,15 @@ val genome_of_index : Synth.space -> int -> Synth.genome
 
 val levels : cap:int -> Objtype.t -> int * int
 (** [(max_discerning, max_recording)] truncated at [cap] — the pair
-    {!tally} histograms for one type. *)
+    {!exhaustive} histograms for one type. *)
 
 val of_histogram : (int * int, int) Hashtbl.t -> entry list
 (** Sort a [(discerning, recording) -> count] table into entries, the
-    shared back end of {!tally} and the engine's parallel census. *)
+    shared back end of {!exhaustive} and the engine's parallel census. *)
 
 val exhaustive : ?cap:int -> Synth.space -> entry list
 (** Decide every table in the space (use only when {!space_size} is small);
     entries are sorted by (discerning, recording).  Default [cap] is 4. *)
-
-val sample : ?cap:int -> seed:int -> count:int -> Synth.space -> entry list
-(** Decide [count] uniformly random tables. *)
 
 val gap_share : entry list -> levels:(int * int) -> float
 (** Fraction of the census at the given (discerning, recording) pair. *)

@@ -123,17 +123,17 @@ let test_ledger_header () =
     (try
        ignore (Dist_ledger.load path ~expected:foreign);
        false
-     with Invalid_argument _ -> true);
+     with Dist_ledger.Mismatch _ -> true);
   check_bool "open_ledger ~resume:true rejects a foreign ledger" true
     (try
        ignore (Dist_ledger.open_ledger ~expected:foreign ~resume:true path);
        false
-     with Invalid_argument _ -> true);
+     with Dist_ledger.Mismatch _ -> true);
   check_bool "plan_of_ledger rejects a foreign ledger" true
     (try
        ignore (Dist_ledger.plan_of_ledger ~expected:foreign ~total path);
        false
-     with Invalid_argument _ -> true);
+     with Dist_ledger.Mismatch _ -> true);
   (* A missing file is an empty ledger. *)
   check_bool "missing ledger is empty" true
     (Dist_ledger.load (path ^ ".does-not-exist") ~expected:h = ([], 0));

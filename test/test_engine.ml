@@ -337,7 +337,7 @@ let test_census_checkpoint_resume () =
             ~config:(Api.Config.v ~cap:4 ())
             pool space);
        false
-     with Invalid_argument _ -> true);
+     with Dist_ledger.Mismatch _ -> true);
   (* The real writer under a fault: the [k]-th I/O operation (open and
      read are 0 and 1; then the header append, its fsync, and an append
      and fsync per Done) fails with ENOSPC.  The census finishes in
@@ -758,6 +758,35 @@ let test_default_jobs_env () =
   Unix.putenv "RCN_JOBS" "1";
   check_int "restored" 1 (Engine.default_jobs ())
 
+(* A sampled census is an engine rank space: the seeded draws decide to
+   the same histogram at every job count, and it is the histogram the
+   sequential sampler always produced for (500, 42) on {3,2,2}.  [sym]
+   does not apply to a sample: no classes are built. *)
+let test_census_sample_pinned () =
+  let space = { Synth.num_values = 3; num_rws = 2; num_responses = 2 } in
+  let expected = [ (1, 1, 44); (2, 1, 345); (2, 2, 67); (3, 2, 5); (4, 4, 39) ] in
+  List.iter
+    (fun (jobs, sym) ->
+      let obs = Obs.create () in
+      let run =
+        Pool.with_pool ~jobs @@ fun pool ->
+        Engine.census ~obs ~sample:(500, 42) ~config:(Api.Config.v ~cap:4 ~sym ()) pool
+          space
+      in
+      let label = Printf.sprintf "jobs %d sym %b" jobs sym in
+      check_int (label ^ ": no classes built") 0
+        (Obs.Metrics.Counter.value (Obs.counter obs "sym.classes"));
+      check_int (label ^ ": census.tables") 500
+        (Obs.Metrics.Counter.value (Obs.counter obs "census.tables"));
+      check_bool (label ^ ": histogram") true
+        (List.map
+           (fun (e : Census.entry) -> (e.Census.discerning, e.Census.recording, e.Census.count))
+           run.Engine.entries
+        = expected);
+      check_int (label ^ ": total is the sample") 500 run.Engine.total;
+      check_bool (label ^ ": complete") true run.Engine.complete)
+    [ (1, false); (2, false); (1, true) ]
+
 let suite =
   [
     Alcotest.test_case "pool covers the range exactly once" `Quick test_pool_covers_range;
@@ -795,4 +824,6 @@ let suite =
     Alcotest.test_case "synthesis portfolio parity" `Slow test_synth_portfolio_parity;
     Alcotest.test_case "RCN_JOBS handling" `Quick test_default_jobs_env;
     QCheck_alcotest.to_alcotest prop_engine_analyze_parity;
+    Alcotest.test_case "sampled census histogram pinned at jobs 1/2" `Quick
+      test_census_sample_pinned;
   ]

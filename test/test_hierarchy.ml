@@ -388,7 +388,11 @@ let test_census_sample_properties () =
   (* On a random sample of the small-type landscape: recording never
      exceeds discerning, and the DFFR gap bound holds everywhere. *)
   let space = { Synth.num_values = 3; num_rws = 2; num_responses = 2 } in
-  let entries = Census.sample ~cap:4 ~seed:42 ~count:500 space in
+  let run =
+    Pool.with_pool ~jobs:1 @@ fun pool ->
+    Engine.census ~sample:(500, 42) ~config:(Api.Config.v ~cap:4 ()) pool space
+  in
+  let entries = run.Engine.entries in
   List.iter
     (fun (e : Census.entry) ->
       check_bool "rec <= disc" true (e.Census.recording <= e.Census.discerning);

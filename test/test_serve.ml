@@ -551,6 +551,77 @@ let test_bad_progress_files_exit_storage () =
       ("a corrupt file", corrupt);
     ]
 
+(* A sampled census honours the config like an exhaustive one: an
+   already-expired deadline leaves it PARTIAL (exit 3), and a cut run is
+   never published to the store. *)
+let test_sampled_census_honours_deadline () =
+  with_tmpdir @@ fun dir ->
+  let store = Store.open_store (Filename.concat dir "rcn.store") in
+  Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
+  Pool.with_pool ~jobs:2 @@ fun pool ->
+  let env = Dispatch.env ~store ~obs:(Obs.create ()) ~command:"census" pool in
+  let space = { Synth.num_values = 3; num_rws = 2; num_responses = 2 } in
+  let config = Api.Config.v ~cap:4 ~deadline:0. () in
+  let resp =
+    Dispatch.run env
+      (Api.Request.Census
+         { space; sample = Some 500; seed = 42; checkpoint = None; resume = false;
+           durable = false; config })
+  in
+  (match resp.Api.Response.body with
+  | Api.Response.Census c -> check_bool "not complete" false c.Api.Response.complete
+  | _ -> Alcotest.failf "got %s" (Api.Response.to_string resp));
+  check_int "exit PARTIAL" 3 (Api.Response.exit_code resp);
+  check_bool "no record under the sample's digest" false
+    (Store.mem store (Api.census_digest space ~cap:4 ~sample:(Some 500) ~seed:42));
+  check_int "nothing published" 0 (Store.size store)
+
+(* A progress file written for another census is the caller's mistake on
+   both census paths: the dispatcher answers [err_invalid], and the CLI
+   exits 2 with the one message, in process and with [--workers]. *)
+let test_foreign_progress_file_is_usage_error () =
+  with_tmpdir @@ fun dir ->
+  let path = Filename.concat dir "other.ledger" in
+  check_int "write the {2,2,2} ledger" 0
+    (cli [ "census"; "--values=2"; "--rws=2"; "--responses=2"; "--checkpoint=" ^ path ]);
+  let resp =
+    Pool.with_pool ~jobs:1 @@ fun pool ->
+    Dispatch.run
+      (Dispatch.env ~obs:(Obs.create ()) ~command:"census" pool)
+      (Api.Request.Census
+         { space = { Synth.num_values = 2; num_rws = 2; num_responses = 3 };
+           sample = None; seed = 0; checkpoint = Some path; resume = true;
+           durable = false; config = Api.Config.default })
+  in
+  let message =
+    match resp.Api.Response.body with
+    | Api.Response.Error { code; message } ->
+        check_int "dispatch: err_invalid" Api.Response.err_invalid code;
+        message
+    | _ -> Alcotest.failf "got %s" (Api.Response.to_string resp)
+  in
+  let stderr_of args =
+    let err = Filename.concat dir "stderr.txt" in
+    let rcn = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rcn.exe" in
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+    let pid = Unix.create_process rcn (Array.of_list (rcn :: args)) Unix.stdin null fd in
+    Unix.close null;
+    Unix.close fd;
+    let code = match Unix.waitpid [] pid with _, Unix.WEXITED c -> c | _ -> -1 in
+    (code, In_channel.with_open_bin err In_channel.input_all)
+  in
+  let base = [ "census"; "--values=2"; "--rws=2"; "--responses=3"; "--resume" ] in
+  List.iter
+    (fun (label, args) ->
+      let code, err = stderr_of (base @ args) in
+      check_int (label ^ ": exit 2") 2 code;
+      check_string (label ^ ": the one message") ("rcn: " ^ message ^ "\n") err)
+    [
+      ("in-process", [ "--checkpoint=" ^ path ]);
+      ("with --workers", [ "--workers=1"; "--ledger=" ^ path ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "malformed requests are usage errors" `Quick
@@ -570,4 +641,8 @@ let suite =
       test_frame_robustness;
     Alcotest.test_case "unopenable or corrupt progress files exit 74" `Quick
       test_bad_progress_files_exit_storage;
+    Alcotest.test_case "a deadline-cut sampled census is partial and unpublished" `Quick
+      test_sampled_census_honours_deadline;
+    Alcotest.test_case "a foreign progress file is a usage error on both paths" `Quick
+      test_foreign_progress_file_is_usage_error;
   ]
