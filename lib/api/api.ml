@@ -364,20 +364,39 @@ module Request = struct
     | Analyze { config; _ } | Census { config; _ } | Synth { config; _ } -> Some config
     | Metrics | Ping -> None
 
-  (* An exhaustive census also needs its table count to fit an [int]; a
-     sampled one never enumerates the space. *)
-  let check_space ~exhaustive space =
-    match
-      Synth.check_space space;
-      if exhaustive then ignore (Census.space_size space)
-    with
-    | () -> Ok ()
+  let max_census_tables = 1 lsl 24
+  let max_sym_census_tables = 1 lsl 34
+
+  (* An exhaustive census also needs a table count within its bound
+     ([max_sym_census_tables] under symmetry reduction,
+     [max_census_tables] otherwise; one that overflows an [int] is over
+     either); a sampled one never enumerates the space. *)
+  let check_space ~exhaustive ~sym space =
+    let bound = if sym then max_sym_census_tables else max_census_tables in
+    let too_big tables =
+      Error
+        (Printf.sprintf
+           "an exhaustive census of %s tables exceeds the %d-table bound \
+            (use --sample N to decide a random sample)"
+           tables bound)
+    in
+    match Synth.check_space space with
     | exception Invalid_argument msg -> Error msg
+    | () when not exhaustive -> Ok ()
+    | () -> (
+        match Census.space_size space with
+        | tables when tables > bound -> too_big (string_of_int tables)
+        | _ -> Ok ()
+        | exception Invalid_argument _ -> too_big ("more than " ^ string_of_int max_int))
 
   let validate req =
     let* () = match config req with Some c -> Config.validate c | None -> Ok () in
     match req with
     | Census { sample = Some n; _ } when n < 0 -> Error "sample must be nonnegative"
+    | Census { sample = Some n; _ } when n > max_census_tables ->
+        Error
+          (Printf.sprintf "a sample of %d tables exceeds the %d-table bound" n
+             max_census_tables)
     | Census { sample = Some _; checkpoint; resume; durable; _ }
       when checkpoint <> None || resume || durable ->
         Error "sample cannot be combined with checkpoint, resume or durable \
@@ -386,8 +405,9 @@ module Request = struct
         Error "resume needs a checkpoint file to resume from"
     | Census { checkpoint = None; durable = true; _ } ->
         Error "durable needs a checkpoint file to make durable"
-    | Census { space; sample; _ } -> check_space ~exhaustive:(sample = None) space
-    | Synth { space; _ } -> check_space ~exhaustive:false space
+    | Census { space; sample; config; _ } ->
+        check_space ~exhaustive:(sample = None) ~sym:config.Config.sym space
+    | Synth { space; _ } -> check_space ~exhaustive:false ~sym:false space
     | Analyze _ | Metrics | Ping -> Ok ()
 
   let envelope kind fields =

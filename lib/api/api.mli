@@ -129,16 +129,36 @@ module Request : sig
 
   val config : t -> Config.t option
 
+  val max_census_tables : int
+  (** The most tables an exhaustive census without symmetry reduction
+      may have, and the largest [sample]: [2^24 = 16,777,216], the size
+      of the [{4,2,2}] space.  [Engine.census] and the distributed
+      coordinator keep per-rank progress arrays (tens of bytes a rank)
+      allocated before the first table is decided, and a sample also
+      keeps its drawn tables, so the next sizes up — [{4,3,2}] has
+      [68,719,476,736] tables — are refused up front and pointed at
+      [--sample]. *)
+
+  val max_sym_census_tables : int
+  (** The most tables an exhaustive census under [--sym on] may have:
+      [2^34 = 17,179,869,184].  There the per-rank arrays are per
+      isomorphism class, and what scales with the table count is
+      [Sym.classes]' one-bit-a-table sweep mark (2 GiB at the bound), so
+      [{5,2,2}] ([10^10] tables, a 1.25 GB mark) is accepted and
+      [{4,3,2}] is not. *)
+
   val validate : t -> (unit, string) result
   (** Everything a decoded request must satisfy before it reaches the
       engine: {!Config.validate} on its config, and for census and synth
       requests a well-formed space — every dimension at least 2
-      ([Synth.check_space]), a nonnegative [sample], and for an
-      exhaustive census a table count ([Census.space_size]) that fits an
-      [int].  A census's checkpoint flags must mean something: [resume]
-      and [durable] need a [checkpoint], and none of the three combines
-      with [sample] (checkpoints are exhaustive-only).  The error names
-      the failed check. *)
+      ([Synth.check_space]), a [sample] in [0 .. max_census_tables], and
+      for an exhaustive census a table count ([Census.space_size]) of at
+      most {!max_census_tables}, or {!max_sym_census_tables} under
+      [sym] (one that overflows an [int] is over both).  A census's
+      checkpoint flags must mean something: [resume] and [durable] need
+      a [checkpoint], and none of the three combines with [sample]
+      (checkpoints are exhaustive-only).  The error names the failed
+      check. *)
 
   val to_json : t -> Wire.t
   val of_json : Wire.t -> (t, string) result

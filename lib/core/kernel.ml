@@ -262,7 +262,7 @@ let total k = k.total
 (* Scratch. *)
 
 (* One memoized evaluation: the recording final-value masks or the
-   discerning clash rows of a given [(u, ops, condition)], plus the
+   discerning clash rows of a given [(u, cops, condition)], plus the
    delta-invalidation metadata — [cells] is a bitset over the [nv * no]
    transition-table cells the trie fold read to produce [masks],
    recorded while [track] is on.  [patch] flips [valid] off for every
@@ -298,9 +298,11 @@ type scratch = {
   sub : int array; (* per trie node: set of final values in its subtree *)
   acc : int array; (* per (proc, resp, first): union of [sub]; all zero between evals *)
   ops : int array; (* current candidate's op per process *)
+  cops : int array; (* [ops] stable-sorted: the arrangement folded and memoized *)
+  rho : int array; (* per process [p]: its slot in [cops], so [cops.(rho.(p)) = ops.(p)] *)
   ops0 : int array; (* T_0's sorted assignment (first size0 slots used) *)
   ops1 : int array; (* T_1's sorted assignment *)
-  memo : entry Memo.t; (* (u, ops, condition) -> entry *)
+  memo : entry Memo.t; (* (u, cops, condition) -> entry *)
   mutable entries : entry array; (* while [track]: [memo]'s entries, [0 .. n_entries - 1] *)
   mutable n_entries : int;
   cur_cells : int array; (* bitset buffer for the eval in progress *)
@@ -345,6 +347,8 @@ let scratch k =
     sub = Array.make (k.t_nodes * vw) 0;
     acc = Array.make (k.n * k.nr * k.n * vw) 0;
     ops = Array.make k.n 0;
+    cops = Array.make k.n 0;
+    rho = Array.make k.n 0;
     ops0 = Array.make k.n 0;
     ops1 = Array.make k.n 0;
     memo = Memo.create 16;
@@ -367,19 +371,53 @@ let scratch k =
     epoch = 0;
   }
 
-(* Memo key: the ops array as a base-[no] number, tagged with the
-   condition (one scratch may serve both in [check]) and the initial
-   value — entries for every [u] coexist, so a patched scratch never
-   throws evaluations away wholesale. *)
+(* Memo key: the folded (sorted) ops array as a base-[no] number,
+   tagged with the condition (one scratch may serve both in [check]) and
+   the initial value — entries for every [u] coexist, so a patched
+   scratch never throws evaluations away wholesale. *)
 let memo_code k (s : scratch) cond ~u =
   let c = ref (match cond with Recording -> 0 | Discerning -> 1) in
   for i = k.n - 1 downto 0 do
-    c := (!c * k.no) + s.ops.(i)
+    c := (!c * k.no) + s.cops.(i)
   done;
   (!c * k.nv) + u
 
+(* Process symmetry.  Renaming the processes by a permutation [rho]
+   maps the at-most-once schedule set onto itself, so the candidate
+   [(u, T_0/T_1, ops)] has the verdict of [(u, rho(T_0)/rho(T_1), cops)]
+   with [cops.(rho.(p)) = ops.(p)].  Taking [cops] sorted makes every
+   arrangement of one op multiset fold the same trie once: the memo is
+   keyed by [cops] and only the partition is renamed, at classification.
+   Delta invalidation is unaffected: the renaming maps each arrangement's
+   schedules onto the sorted fold's, step for step, so both read the
+   same transition-table cells.
+   [rho] is the stable sort's: [p]'s slot is the number of processes
+   with a smaller op, or an equal op and a smaller index (the identity
+   when [ops] is already sorted). *)
+let canonicalize k s =
+  let n = k.n and ops = s.ops in
+  for p = 0 to n - 1 do
+    let o = ops.(p) and slot = ref 0 in
+    for q = 0 to n - 1 do
+      let o' = ops.(q) in
+      if o' < o || (o' = o && q < p) then incr slot
+    done;
+    s.rho.(p) <- !slot;
+    s.cops.(!slot) <- o
+  done
+
+(* [bits] renamed through [rho]. *)
+let rename s bits =
+  let b = ref bits and p = ref 0 and r = ref 0 in
+  while !b <> 0 do
+    if !b land 1 = 1 then r := !r lor (1 lsl s.rho.(!p));
+    b := !b lsr 1;
+    incr p
+  done;
+  !r
+
 (* ------------------------------------------------------------------ *)
-(* Evaluation: fold every schedule for the current (u, s.ops).  Node
+(* Evaluation: fold every schedule for the current (u, s.cops).  Node
    values extend their parent's by one transition, so the whole set costs
    one transition per node. *)
 
@@ -388,7 +426,7 @@ let eval_rec_trie k s ~u =
   s.value.(0) <- u;
   if s.track then
     for i = 1 to k.t_nodes - 1 do
-      let idx = (s.value.(k.t_parent.(i)) * k.no) + s.ops.(k.t_proc.(i)) in
+      let idx = (s.value.(k.t_parent.(i)) * k.no) + s.cops.(k.t_proc.(i)) in
       s.cur_cells.(idx lsr 5) <- s.cur_cells.(idx lsr 5) lor (1 lsl (idx land 31));
       let v = k.next.(idx) in
       s.value.(i) <- v;
@@ -396,7 +434,7 @@ let eval_rec_trie k s ~u =
     done
   else
     for i = 1 to k.t_nodes - 1 do
-      let v = k.next.((s.value.(k.t_parent.(i)) * k.no) + s.ops.(k.t_proc.(i))) in
+      let v = k.next.((s.value.(k.t_parent.(i)) * k.no) + s.cops.(k.t_proc.(i))) in
       s.value.(i) <- v;
       s.rec_mask.(v) <- s.rec_mask.(v) lor (1 lsl k.t_first.(i))
     done
@@ -419,7 +457,7 @@ let eval_disc_trie k s ~u =
   let n = k.n and vw = s.vw and value = s.value and row_at = s.row_at in
   value.(0) <- u;
   for i = 1 to k.t_nodes - 1 do
-    let idx = (value.(k.t_parent.(i)) * k.no) + s.ops.(k.t_proc.(i)) in
+    let idx = (value.(k.t_parent.(i)) * k.no) + s.cops.(k.t_proc.(i)) in
     if s.track then s.cur_cells.(idx lsr 5) <- s.cur_cells.(idx lsr 5) lor (1 lsl (idx land 31));
     value.(i) <- k.next.(idx);
     row_at.(i) <- (k.t_key.(i) + (k.resp.(idx) * n)) * vw
@@ -461,29 +499,34 @@ let eval_disc_trie k s ~u =
    Recording (reference [check_recording_fast]): every final value must
    be reached only by first-processes of a single team, and if a
    nonempty schedule ends at the initial value [u], the *other* team
-   must be a singleton. *)
+   must be a singleton.
 
-let classify_rec k (masks : int array) part ~u =
+   Both read the teams as first-process bitmasks [t0]/[t1] in the
+   folded arrangement's process names (the partition's own bits renamed
+   through [rho]); team sizes do not change under renaming. *)
+
+let classify_rec k (masks : int array) part ~t0 ~t1 ~u =
   let ok = ref true in
   let v = ref 0 in
   while !ok && !v < k.nv do
     let m = masks.(!v) in
-    if m land part.t0bits <> 0 && m land part.t1bits <> 0 then ok := false;
+    if m land t0 <> 0 && m land t1 <> 0 then ok := false;
     incr v
   done;
   !ok
-  && (masks.(u) land part.t0bits = 0 || part.size1 = 1)
-  && (masks.(u) land part.t1bits = 0 || part.size0 = 1)
+  && (masks.(u) land t0 = 0 || part.size1 = 1)
+  && (masks.(u) land t1 = 0 || part.size0 = 1)
 
 (* Discerning (reference [check_discerning_fast]): every
    (process, response, final value) triple must be produced only by
    schedules whose first process is on a single team — no T_0 first
    process clashes with a T_1 one. *)
-let classify_disc (clash : int array) part =
-  let ok = ref true and j = ref 0 in
-  while !ok && !j < part.size0 do
-    if clash.(part.procs0.(!j)) land part.t1bits <> 0 then ok := false;
-    incr j
+let classify_disc (clash : int array) ~t0 ~t1 =
+  let ok = ref true and b = ref t0 and f = ref 0 in
+  while !ok && !b <> 0 do
+    if !b land 1 = 1 && clash.(!f) land t1 <> 0 then ok := false;
+    b := !b lsr 1;
+    incr f
   done;
   !ok
 
@@ -512,8 +555,9 @@ let push s e =
   s.n_entries <- s.n_entries + 1
 
 (* Decide the candidate currently materialized in [s.ops] against
-   [part], evaluating or reusing the (u, ops) memo. *)
+   [part], evaluating or reusing the (u, cops) memo. *)
 let check_current k s cond ~u part =
+  canonicalize k s;
   let code = memo_code k s cond ~u in
   let e =
     match Memo.find_opt s.memo code with
@@ -558,9 +602,11 @@ let check_current k s cond ~u part =
             e)
   in
   s.last <- e;
+  let t0 = rename s part.t0bits in
+  let t1 = ((1 lsl k.n) - 1) lxor t0 in
   match cond with
-  | Recording -> classify_rec k e.masks part ~u
-  | Discerning -> classify_disc e.masks part
+  | Recording -> classify_rec k e.masks part ~t0 ~t1 ~u
+  | Discerning -> classify_disc e.masks ~t0 ~t1
 
 (* ------------------------------------------------------------------ *)
 (* Patching.  A patch rewrites one transition-table cell in place and

@@ -18,15 +18,21 @@
       every schedule end to end.  Tries are memoized per process count
       (thread-safely) and shared across every type decided at that [n] —
       the census sweep's best case.
-    - {b Team-independent evaluation.}  The folded final values and
-      responses depend only on [(u, ops)], not on the team partition, so
-      evaluation results are cached per [(u, ops)] within a scratch and
-      each partition is then classified by a cheap pass over a few
-      words: per final value the first processes reaching it
-      (recording), or per first process the first processes it shares
-      a (process, response, final value) triple with (discerning, [n]
-      "clash rows" built from per-node subtree value sets) — no
-      [Hashtbl]s in the per-candidate loop.
+    - {b Team- and arrangement-independent evaluation.}  The folded
+      final values and responses depend only on [(u, ops)], not on the
+      team partition; and renaming the processes maps the schedule set
+      onto itself, so a candidate [(u, T_0/T_1, ops)] has the verdict of
+      [(u, rho(T_0)/rho(T_1), cops)], where [cops] is [ops]
+      stable-sorted and [rho(p)] is process [p]'s slot in it.  The
+      kernel folds the trie over [cops] and caches the result
+      per [(condition, u, cops)] within a scratch, so every arrangement
+      of one op multiset shares one fold.  Each candidate is then
+      classified by a cheap pass over a few words, with its partition
+      renamed through [rho]: per final value the first processes
+      reaching it (recording), or per first process the first
+      processes it shares a (process, response, final value) triple
+      with (discerning, [n] "clash rows" built from per-node subtree
+      value sets) — no [Hashtbl]s in the per-candidate loop.
 
     Candidates are {e ranked}: the kernel numbers the sequential
     enumeration order of [Decide.candidates] (initial value major, then
@@ -71,18 +77,22 @@ type t
 
 type scratch
 (** Per-worker mutable evaluation state: node value/response buffers,
-    the flat classification arrays, and the per-[(u, ops)] evaluation
-    memo.  Never share a scratch between domains or between concurrent
-    searches. *)
+    the flat classification arrays, and the evaluation memo keyed by
+    [(condition, u, cops)] (the sorted op multiset).  Never share a
+    scratch between domains or between concurrent searches. *)
 
 val compile : ?obs:Obs.t -> Objtype.t -> n:int -> t
 (** Build the flat tables, fetch the memoized trie for [n], and rank the
     candidate space.  With [obs], resolves the kernel counters
     [decide.trie_nodes] (nodes of freshly built tries),
-    [decide.kernel_evals] (per-[(u, ops)] schedule evaluations) and
-    [decide.partitions_pruned] (candidates classified from a memoized
-    evaluation, skipping schedule replay entirely) in that context's
-    registry.  @raise Invalid_argument when [n < 2]. *)
+    [decide.kernel_evals] (trie folds, one per [(condition, u)] and
+    sorted op multiset the memo did not hold: a full scan of an
+    unpatched scratch makes at most [num_values * C(num_ops + n - 1, n)]
+    per condition) and [decide.partitions_pruned] (candidates classified
+    from a memoized evaluation, skipping schedule replay entirely) in
+    that context's registry.  Every candidate classified counts in
+    exactly one of the two, so their sum does not depend on the memo.
+    @raise Invalid_argument when [n < 2]. *)
 
 val warm_trie : ?obs:Obs.t -> nprocs:int -> unit -> unit
 (** Force the shared trie for [nprocs] into the memo (e.g. before a
@@ -159,7 +169,7 @@ val check :
     The synthesizer's hill climb moves between transition tables that
     differ in one cell.  Instead of recompiling a kernel per candidate,
     {!patch} edits one cell of the live tables and {e delta-invalidates}
-    the scratch's evaluation memo: every memoized per-[(u, ops)] mask
+    the scratch's evaluation memo: every memoized per-[(u, cops)] mask
     records (as a small bitset, while tracking is on) which table cells
     its trie fold read, and a patch scans the scratch's vector of memo
     entries and flips off exactly the valid ones whose bitset has the

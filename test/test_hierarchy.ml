@@ -543,6 +543,92 @@ let test_kernel_multiword_values () =
         [ 2; 3 ])
     (faa :: writes :: randoms)
 
+let prop_reference_verdict_is_process_symmetric =
+  (* The symmetry the kernel's memo is keyed on, pinned on the reference
+     checkers alone (they share no code with the kernel): renaming the
+     processes maps the at-most-once schedule set onto itself, so a
+     candidate and its renamed copy — [team] and [ops] permuted jointly
+     — get the same verdict, both conditions, at n = 2, 3 and 4. *)
+  let space = { Synth.num_values = 3; num_rws = 2; num_responses = 2 } in
+  let scheds = Array.init 5 (fun n -> if n < 2 then [] else Sched.at_most_once ~nprocs:n) in
+  let arbitrary = QCheck.make ~print:string_of_int QCheck.Gen.int in
+  QCheck.Test.make ~name:"reference verdicts are invariant under process renaming" ~count:100
+    arbitrary (fun case_seed ->
+      let rng = Random.State.make [| case_seed; 0x5e7 |] in
+      let ty = Synth.to_objtype (Synth.random_genome rng space) in
+      List.for_all
+        (fun n ->
+          let u = Random.State.int rng ty.Objtype.num_values in
+          (* a two-team split: process [split] on T_1 and the next one
+             on T_0 keep both teams nonempty whatever the other draws *)
+          let split = Random.State.int rng n in
+          let team = Array.init n (fun p -> p = split || Random.State.bool rng) in
+          team.((split + 1) mod n) <- false;
+          let ops = Array.init n (fun _ -> Random.State.int rng ty.Objtype.num_ops) in
+          let sigma = Array.init n Fun.id in
+          for i = n - 1 downto 1 do
+            let j = Random.State.int rng (i + 1) in
+            let t = sigma.(i) in
+            sigma.(i) <- sigma.(j);
+            sigma.(j) <- t
+          done;
+          let team' = Array.make n false and ops' = Array.make n 0 in
+          Array.iteri
+            (fun p q ->
+              team'.(q) <- team.(p);
+              ops'.(q) <- ops.(p))
+            sigma;
+          List.for_all
+            (fun cond ->
+              Decide.check cond ty scheds.(n) ~u ~team ~ops
+              = Decide.check cond ty scheds.(n) ~u ~team:team' ~ops:ops')
+            [ Decide.Discerning; Decide.Recording ])
+        [ 2; 3; 4 ])
+
+let test_kernel_folds_per_multiset () =
+  (* The kernel folds the trie once per (initial value, sorted op
+     multiset): a scan that refutes the condition visits every candidate,
+     and every multiset of [n] ops occurs among them, so it folds exactly
+     [nv * C(no + n - 1, n)] times — not once per arrangement. *)
+  let space = { Synth.num_values = 4; num_rws = 2; num_responses = 2 } in
+  let binomial a b =
+    let acc = ref 1 in
+    for i = 1 to b do
+      acc := !acc * (a - b + i) / i
+    done;
+    !acc
+  in
+  let refuted = Array.make 5 0 in
+  for seed = 0 to 11 do
+    let ty = Synth.to_objtype (Synth.random_genome (Random.State.make [| seed; 0xf01d |]) space) in
+    let nv = ty.Objtype.num_values and no = ty.Objtype.num_ops in
+    List.iter
+      (fun n ->
+        List.iter
+          (fun cond ->
+            let obs = Obs.create () in
+            let k = Kernel.compile ~obs ty ~n in
+            let s = Kernel.scratch k in
+            match Kernel.search_range k s cond ~lo:0 ~hi:(Kernel.total k) ~stop:(fun _ -> false) with
+            | Some _, _ -> ()
+            | None, checked ->
+                refuted.(n) <- refuted.(n) + 1;
+                let evals = Obs.Metrics.Counter.value (Obs.counter obs "decide.kernel_evals") in
+                let pruned =
+                  Obs.Metrics.Counter.value (Obs.counter obs "decide.partitions_pruned")
+                in
+                let multisets = binomial (no + n - 1) n in
+                let label = Printf.sprintf "seed %d n=%d" seed n in
+                check_int (label ^ ": one fold per (u, multiset)") (nv * multisets) evals;
+                check_int (label ^ ": every candidate classified") (Kernel.total k) (evals + pruned);
+                check_int (label ^ ": full scan") (Kernel.total k) checked)
+          [ Kernel.Discerning; Kernel.Recording ])
+      [ 2; 3; 4 ]
+  done;
+  List.iter
+    (fun n -> check_bool (Printf.sprintf "some scans refute at n = %d" n) true (refuted.(n) > 0))
+    [ 2; 3; 4 ]
+
 let prop_patched_kernel_matches_fresh_compile =
   (* The incremental-patching contract (the synthesizer's warm-start
      search leans on it): after any patch/unpatch sequence, the patched
@@ -772,4 +858,7 @@ let suite =
       test_kernel_multiword_values;
     QCheck_alcotest.to_alcotest prop_patched_kernel_matches_fresh_compile;
     QCheck_alcotest.to_alcotest prop_retargeted_kernel_matches_fresh_compile;
+    QCheck_alcotest.to_alcotest prop_reference_verdict_is_process_symmetric;
+    Alcotest.test_case "kernel folds once per sorted op multiset" `Quick
+      test_kernel_folds_per_multiset;
   ]

@@ -453,6 +453,19 @@ let cli args =
   Unix.close null;
   match Unix.waitpid [] pid with _, Unix.WEXITED code -> code | _ -> -1
 
+(* The shipped binary with its stderr kept (in a file under [dir]);
+   returns its exit code and what it printed there. *)
+let cli_stderr ~dir args =
+  let err = Filename.concat dir "stderr.txt" in
+  let rcn = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rcn.exe" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+  let pid = Unix.create_process rcn (Array.of_list (rcn :: args)) Unix.stdin null fd in
+  Unix.close null;
+  Unix.close fd;
+  let code = match Unix.waitpid [] pid with _, Unix.WEXITED c -> c | _ -> -1 in
+  (code, In_channel.with_open_bin err In_channel.input_all)
+
 (* Malformed census and synth spaces are usage errors on every surface:
    the daemon answers [err_invalid] with [Api.Request.validate]'s
    message, and the CLI exits 2 — with [--workers] too, which bypasses
@@ -600,27 +613,100 @@ let test_foreign_progress_file_is_usage_error () =
         message
     | _ -> Alcotest.failf "got %s" (Api.Response.to_string resp)
   in
-  let stderr_of args =
-    let err = Filename.concat dir "stderr.txt" in
-    let rcn = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rcn.exe" in
-    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-    let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-    let pid = Unix.create_process rcn (Array.of_list (rcn :: args)) Unix.stdin null fd in
-    Unix.close null;
-    Unix.close fd;
-    let code = match Unix.waitpid [] pid with _, Unix.WEXITED c -> c | _ -> -1 in
-    (code, In_channel.with_open_bin err In_channel.input_all)
-  in
   let base = [ "census"; "--values=2"; "--rws=2"; "--responses=3"; "--resume" ] in
   List.iter
     (fun (label, args) ->
-      let code, err = stderr_of (base @ args) in
+      let code, err = cli_stderr ~dir (base @ args) in
       check_int (label ^ ": exit 2") 2 code;
       check_string (label ^ ": the one message") ("rcn: " ^ message ^ "\n") err)
     [
       ("in-process", [ "--checkpoint=" ^ path ]);
       ("with --workers", [ "--workers=1"; "--ledger=" ^ path ]);
     ]
+
+(* A census larger than its bound is refused before anything is
+   allocated for it: an exhaustive one over [Api.Request.max_census_tables]
+   ([max_sym_census_tables] under [--sym on]) with a pointer to
+   [--sample], a sample over [max_census_tables] draws.  One at the bound
+   gets past validation on both CLI paths: {4,2,2} (2^24 tables) is
+   taken no further than its progress file — a directory, a storage
+   error (exit 74) — so the test never allocates its per-table arrays;
+   {5,2,2} under [--sym on] is only validated, never run. *)
+let test_oversized_census_is_usage_error () =
+  let census ?(sym = false) ?sample (v, r, p) =
+    Api.Request.Census
+      { space = { Synth.num_values = v; num_rws = r; num_responses = p };
+        sample; seed = 0; checkpoint = None; resume = false; durable = false;
+        config = { Api.Config.default with sym } }
+  in
+  let refused req =
+    match Api.Request.validate req with Error m -> m | Ok () -> Alcotest.fail "validated"
+  in
+  let over bound tables =
+    Printf.sprintf
+      "an exhaustive census of %s tables exceeds the %d-table bound \
+       (use --sample N to decide a random sample)"
+      tables bound
+  in
+  let bound = Api.Request.max_census_tables and sym_bound = Api.Request.max_sym_census_tables in
+  check_int "{4,2,2} is at the bound" bound
+    (Census.space_size { Synth.num_values = 4; num_rws = 2; num_responses = 2 });
+  check_bool "{4,2,2} validates" true (Result.is_ok (Api.Request.validate (census (4, 2, 2))));
+  let message = refused (census (4, 3, 2)) in
+  check_string "the message points to --sample" (over bound "68719476736") message;
+  check_string "an overflowing space gets the same pointer"
+    (over bound ("more than " ^ string_of_int max_int))
+    (refused (census (9, 9, 9)));
+  check_bool "a sample at the bound validates" true
+    (Result.is_ok (Api.Request.validate (census ~sample:bound (4, 3, 2))));
+  let sample_message = refused (census ~sample:(bound + 1) (4, 3, 2)) in
+  check_string "a sample over the bound"
+    (Printf.sprintf "a sample of %d tables exceeds the %d-table bound" (bound + 1) bound)
+    sample_message;
+  check_bool "{5,2,2} under --sym on validates" true
+    (Result.is_ok (Api.Request.validate (census ~sym:true (5, 2, 2))));
+  check_string "{5,2,2} without --sym is over the bound" (over bound "10000000000")
+    (refused (census (5, 2, 2)));
+  let sym_message = refused (census ~sym:true (4, 3, 2)) in
+  check_string "{4,3,2} under --sym on is over the sym bound"
+    (over sym_bound "68719476736") sym_message;
+  let resp =
+    Pool.with_pool ~jobs:1 @@ fun pool ->
+    Dispatch.run (Dispatch.env ~obs:(Obs.create ()) ~command:"census" pool) (census (4, 3, 2))
+  in
+  (match resp.Api.Response.body with
+  | Api.Response.Error { code; message = m } ->
+      check_int "dispatch: err_invalid" Api.Response.err_invalid code;
+      check_string "dispatch: the validator's message" message m
+  | _ -> Alcotest.failf "got %s" (Api.Response.to_string resp));
+  with_tmpdir @@ fun dir ->
+  let space (v, r, p) =
+    [ "census"; Printf.sprintf "--values=%d" v; Printf.sprintf "--rws=%d" r;
+      Printf.sprintf "--responses=%d" p ]
+  in
+  List.iter
+    (fun (label, progress) ->
+      let run ?(extra = []) sp = cli_stderr ~dir (space sp @ ("--resume" :: progress) @ extra) in
+      let code, err = run (4, 3, 2) in
+      check_int (label ^ ": {4,3,2} exits 2") 2 code;
+      check_string (label ^ ": {4,3,2} the one message") ("rcn: " ^ message ^ "\n") err;
+      let code, err = run ~extra:[ "--sym=on" ] (4, 3, 2) in
+      check_int (label ^ ": {4,3,2} --sym on exits 2") 2 code;
+      check_string (label ^ ": {4,3,2} --sym on the one message") ("rcn: " ^ sym_message ^ "\n")
+        err;
+      check_int (label ^ ": {4,2,2} gets to its progress file") Api.Response.err_storage
+        (fst (run (4, 2, 2))))
+    [
+      ("in-process", [ "--checkpoint=" ^ dir ]);
+      ("with --workers", [ "--workers=1"; "--ledger=" ^ dir ]);
+    ];
+  let sample = Printf.sprintf "--sample=%d" (bound + 1) in
+  let code, err = cli_stderr ~dir (space (4, 3, 2) @ [ sample ]) in
+  check_int "in-process: an oversized sample exits 2" 2 code;
+  check_string "in-process: an oversized sample, the one message"
+    ("rcn: " ^ sample_message ^ "\n") err;
+  check_int "with --workers: a sample exits 2" 2
+    (fst (cli_stderr ~dir (space (4, 3, 2) @ [ sample; "--workers=1" ])))
 
 let suite =
   [
@@ -645,4 +731,6 @@ let suite =
       test_sampled_census_honours_deadline;
     Alcotest.test_case "a foreign progress file is a usage error on both paths" `Quick
       test_foreign_progress_file_is_usage_error;
+    Alcotest.test_case "an oversized exhaustive census is a usage error on both paths" `Quick
+      test_oversized_census_is_usage_error;
   ]
