@@ -29,9 +29,12 @@ check: build test inject-smoke stats-smoke soak-smoke serve-smoke dist-smoke syn
 # retargeted per table, and every count must land in the run's registry
 # exactly as 256 fresh compiles would put it there.  A seeded 500-table
 # sample of {3,2,2} runs the same engine sweep and is pinned the same way.
-# decide.kernel_evals and decide.partitions_pruned are both pinned: their
-# sum is the number of candidates classified, which a memo change that
-# only moves work from evaluations to memo hits must leave as it is.
+# A census decides through Kernel.exists, which walks (initial value,
+# sorted op multiset) entries: decide.kernel_evals counts the entries
+# folded and decide.partitions_pruned those answered from the memo
+# without a fold.  Each (table, n, condition) scan runs on a freshly
+# retargeted scratch and visits an entry at most once, so the second is
+# 0 and the first is the number of entries visited.
 # The built binaries are invoked directly: two `dune exec` in one pipeline
 # contend for the _build lock.
 stats-smoke: build
@@ -47,13 +50,13 @@ stats-smoke: build
 	    | tee $(SMOKE_DIR)/stats-smoke-census-$$jobs.out \
 	    | ./_build/default/tools/stats_check.exe --require-eq census.tables=256 \
 	        --require-eq decide.kernel_evals=8000 \
-	        --require-eq decide.partitions_pruned=16056 || exit 1; \
+	        --require-eq decide.partitions_pruned=0 || exit 1; \
 	  ./_build/default/bin/rcn.exe census --values 3 --rws 2 --responses 2 --cap 4 \
 	    --sample 500 --seed 42 --jobs $$jobs --stats json \
 	    | tee $(SMOKE_DIR)/stats-smoke-sample-$$jobs.out \
 	    | ./_build/default/tools/stats_check.exe --require-eq census.tables=500 \
-	        --require-eq decide.kernel_evals=28227 \
-	        --require-eq decide.partitions_pruned=93669 || exit 1; \
+	        --require-eq decide.kernel_evals=28083 \
+	        --require-eq decide.partitions_pruned=0 || exit 1; \
 	done
 	rm -f $(SMOKE_DIR)/stats-smoke.out $(SMOKE_DIR)/stats-smoke-census-*.out \
 	  $(SMOKE_DIR)/stats-smoke-sample-*.out
@@ -155,10 +158,13 @@ bench-e22: build
 # symmetry-memo skips, kernel patches and surviving (reused) memo
 # entries.  The search legitimately may or may not find a witness at
 # this budget.  The climb is deterministic and single-domain, so its
-# evaluation, patch and kernel-eval counts are pinned exactly: a patch
-# that invalidates more memo entries than the edit requires shows up as
-# extra decide.kernel_evals; decide.partitions_pruned is pinned beside it
-# so that their sum, the candidates classified, is pinned too.
+# evaluation, patch and kernel-eval counts are pinned exactly.  The warm
+# fitness decides through Kernel.exists over (initial value, sorted op
+# multiset) entries: decide.kernel_evals counts entries folded, so a
+# patch that invalidates more memo entries than the edit requires shows
+# up as extra folds; decide.partitions_pruned counts entries answered
+# from the memo (a kept verdict or a valid fold) and is pinned beside it,
+# so that their sum, the entries visited, is pinned too.
 synth-smoke: build
 	mkdir -p $(SMOKE_DIR)
 	./_build/default/bin/rcn.exe synth --target 4 --values 3 --rws 2 --responses 2 \
@@ -169,8 +175,8 @@ synth-smoke: build
 	      --require-nonzero kernel.patches --require-nonzero kernel.masks_reused \
 	      --require-nonzero kernel.masks_invalidated \
 	      --require-eq synth.evals=292 --require-eq kernel.patches=1016 \
-	      --require-eq decide.kernel_evals=5210 \
-	      --require-eq decide.partitions_pruned=54435
+	      --require-eq decide.kernel_evals=5203 \
+	      --require-eq decide.partitions_pruned=6241
 	rm -f $(SMOKE_DIR)/synth-smoke.out
 
 # Self-healing smoke, two halves (binaries invoked directly — see the

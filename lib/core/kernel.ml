@@ -168,6 +168,7 @@ type t = {
   parts : part array;
   per_u : int;
   total : int;
+  nms : int; (* sorted op multisets of size [n]: C(no + n - 1, n) *)
   (* The counters live in the context the kernel was compiled (or last
      retargeted) with: [obs] is that context, compared physically so a
      retarget under the same context skips the registry lookups. *)
@@ -245,6 +246,7 @@ let compile ?obs (ty : Objtype.t) ~n =
       parts;
       per_u;
       total = nv * per_u;
+      nms = multiset_count no n;
       obs = None;
       c_evals = None;
       c_pruned = None;
@@ -261,23 +263,25 @@ let total k = k.total
 (* ------------------------------------------------------------------ *)
 (* Scratch. *)
 
+(* [exists]'s answer for one (u, multiset): does some team split of the
+   multiset witness the condition?  A function of the entry's masks, so
+   it is kept while they are and dropped when they change. *)
+type verdict = Unknown | Holds | Fails
+
 (* One memoized evaluation: the recording final-value masks or the
    discerning clash rows of a given [(u, cops, condition)], plus the
    delta-invalidation metadata — [cells] is a bitset over the [nv * no]
    transition-table cells the trie fold read to produce [masks],
    recorded while [track] is on.  [patch] flips [valid] off for every
-   entry whose [cells] has the edited bit; [version] distinguishes
-   successive recomputations of the same slot so the rank-indexed
-   verdict cache below can tell a revalidated entry from the one it
-   cached. *)
+   entry whose [cells] has the edited bit. *)
 type entry = {
   mutable masks : int array;
   mutable cells : int array; (* bitset: cell [c] at word [c lsr 5], bit [c land 31] *)
   mutable valid : bool;
-  mutable version : int;
+  mutable verdict : verdict;
 }
 
-let dummy_entry = { masks = [||]; cells = [||]; valid = false; version = -1 }
+let dummy_entry = { masks = [||]; cells = [||]; valid = false; verdict = Unknown }
 
 (* The evaluation memo, keyed by [memo_code]: a plain int table (no
    polymorphic hashing) that starts at the minimum bucket count, so a
@@ -313,21 +317,16 @@ type scratch = {
       (* bumped by every invalidating event (patch, unpatch) and never
          rolled back — the guard telling an unpatch whether its window
          was quiet enough to restore snapshots (see [unpatch]) *)
-  mutable vclock : int; (* issues entry versions; never reissued, so a
-                           rolled-back version can't collide with a later
-                           re-evaluation's in the verdict cache *)
-  mutable last : entry; (* entry behind the most recent classification *)
-  (* Rank-indexed verdict cache, allocated at the first patch: slot
-     [cond * total + rank] remembers which entry (at which version)
-     classified that candidate and what it answered, so a re-scan after
-     a patch costs one validity check per untouched candidate. *)
-  mutable v_entry : entry array;
-  mutable v_version : int array;
-  mutable v_bool : Bytes.t;
+  mutable by_ms : entry array;
+      (* [exists]'s index of [memo]: slot [(cond * nv + u) * nms + r]
+         (Recording is cond 0) holds the entry of initial value [u] and
+         the [r]-th sorted op multiset in lex order, [dummy_entry] until
+         [exists] first meets it.  Allocated at the first [exists]. *)
   hint : int array;
-      (* [exists]'s last witnessing rank per condition (Recording at 0,
-         Discerning at 1), -1 when the last scan refuted.  Always
-         re-verified before being trusted, so staleness is harmless. *)
+      (* [exists]'s last witnessing [by_ms] slot per condition
+         (Recording at 0, Discerning at 1), -1 when the last scan
+         refuted.  Always re-verified before being trusted, so staleness
+         is harmless. *)
   (* Counter traffic, tallied here per candidate and flushed into the
      kernel's counters once per public call ([flush]): one atomic add
      per scan instead of one per candidate. *)
@@ -359,11 +358,7 @@ let scratch k =
     track = false;
     patches_seen = 0;
     patch_events = 0;
-    vclock = 0;
-    last = dummy_entry;
-    v_entry = [||];
-    v_version = [||];
-    v_bool = Bytes.empty;
+    by_ms = [||];
     hint = [| -1; -1 |];
     n_evals = 0;
     n_pruned = 0;
@@ -503,9 +498,10 @@ let eval_disc_trie k s ~u =
 
    Both read the teams as first-process bitmasks [t0]/[t1] in the
    folded arrangement's process names (the partition's own bits renamed
-   through [rho]); team sizes do not change under renaming. *)
+   through [rho]); team sizes do not change under renaming.  Both are
+   symmetric in the two teams. *)
 
-let classify_rec k (masks : int array) part ~t0 ~t1 ~u =
+let classify_rec k (masks : int array) ~t0 ~t1 ~u =
   let ok = ref true in
   let v = ref 0 in
   while !ok && !v < k.nv do
@@ -513,9 +509,10 @@ let classify_rec k (masks : int array) part ~t0 ~t1 ~u =
     if m land t0 <> 0 && m land t1 <> 0 then ok := false;
     incr v
   done;
+  let singleton t = t land (t - 1) = 0 in
   !ok
-  && (masks.(u) land t0 = 0 || part.size1 = 1)
-  && (masks.(u) land t1 = 0 || part.size0 = 1)
+  && (masks.(u) land t0 = 0 || singleton t1)
+  && (masks.(u) land t1 = 0 || singleton t0)
 
 (* Discerning (reference [check_discerning_fast]): every
    (process, response, final value) triple must be produced only by
@@ -527,6 +524,37 @@ let classify_disc (clash : int array) ~t0 ~t1 =
     if !b land 1 = 1 && clash.(!f) land t1 <> 0 then ok := false;
     b := !b lsr 1;
     incr f
+  done;
+  !ok
+
+let classify k cond masks ~t0 ~t1 ~u =
+  match cond with
+  | Recording -> classify_rec k masks ~t0 ~t1 ~u
+  | Discerning -> classify_disc masks ~t0 ~t1
+
+(* Does some team split of the multiset in [s.cops] witness the
+   condition on its [masks]?  Every split of the multiset into two
+   nonempty sub-multisets is a candidate (put the first sub-multiset on
+   processes [0 ..], the rest after), and swapping two slots that hold
+   the same op maps the fold onto itself, so all splits with the same
+   per-op counts share a verdict.  One representative each suffices: T_0
+   takes a prefix of every op's run of slots ([t0] has no bit [i] of a
+   tied slot without bit [i - 1]).  The teams are interchangeable too,
+   so T_0 always takes slot 0 ([t0] odd). *)
+let some_split_holds k s cond masks ~u =
+  let n = k.n and cops = s.cops in
+  let full = (1 lsl n) - 1 in
+  let tied = ref 0 in
+  for i = 1 to n - 1 do
+    if cops.(i) = cops.(i - 1) then tied := !tied lor (1 lsl i)
+  done;
+  let tied = !tied in
+  let ok = ref false and t0 = ref 1 in
+  while (not !ok) && !t0 < full do
+    let t = !t0 in
+    if t land tied land lnot (t lsl 1) = 0 then
+      ok := classify k cond masks ~t0:t ~t1:(full lxor t) ~u;
+    t0 := t + 2
   done;
   !ok
 
@@ -554,59 +582,61 @@ let push s e =
   s.entries.(s.n_entries) <- e;
   s.n_entries <- s.n_entries + 1
 
+(* A valid memoized evaluation answers without a fold. *)
+let hit s =
+  s.n_pruned <- s.n_pruned + 1;
+  if s.patches_seen > 0 then s.n_reused <- s.n_reused + 1
+
+(* Fold the trie over the current (u, cops): the masks, and the cells
+   the fold read while tracking. *)
+let fold k s cond ~u =
+  s.n_evals <- s.n_evals + 1;
+  if s.track then Array.fill s.cur_cells 0 s.cell_words 0;
+  let masks =
+    match cond with
+    | Recording ->
+        eval_rec_trie k s ~u;
+        Array.sub s.rec_mask 0 k.nv
+    | Discerning -> eval_disc_trie k s ~u
+  in
+  (masks, if s.track then Array.copy s.cur_cells else [||])
+
+(* Re-evaluate the invalidated [e] in place.  An edit that did not change
+   its masks leaves its verdict standing (verdicts depend only on the
+   masks; the read-cell set may still differ). *)
+let refresh k s cond ~u e =
+  let masks, cells = fold k s cond ~u in
+  if e.masks <> masks then begin
+    e.masks <- masks;
+    e.verdict <- Unknown
+  end;
+  e.cells <- cells;
+  e.valid <- true
+
+(* The valid memo entry of the current (u, cops), folding on a miss. *)
+let lookup k s cond ~u =
+  let code = memo_code k s cond ~u in
+  match Memo.find_opt s.memo code with
+  | Some e when e.valid ->
+      hit s;
+      e
+  | Some e ->
+      refresh k s cond ~u e;
+      e
+  | None ->
+      let masks, cells = fold k s cond ~u in
+      let e = { masks; cells; valid = true; verdict = Unknown } in
+      Memo.add s.memo code e;
+      if s.track then push s e;
+      e
+
 (* Decide the candidate currently materialized in [s.ops] against
    [part], evaluating or reusing the (u, cops) memo. *)
 let check_current k s cond ~u part =
   canonicalize k s;
-  let code = memo_code k s cond ~u in
-  let e =
-    match Memo.find_opt s.memo code with
-    | Some e when e.valid ->
-        s.n_pruned <- s.n_pruned + 1;
-        if s.patches_seen > 0 then s.n_reused <- s.n_reused + 1;
-        e
-    | stale -> (
-        s.n_evals <- s.n_evals + 1;
-        if s.track then Array.fill s.cur_cells 0 s.cell_words 0;
-        let masks =
-          match cond with
-          | Recording ->
-              eval_rec_trie k s ~u;
-              Array.sub s.rec_mask 0 k.nv
-          | Discerning -> eval_disc_trie k s ~u
-        in
-        let cells = if s.track then Array.copy s.cur_cells else [||] in
-        match stale with
-        | Some e when e.masks = masks ->
-            (* The edit did not change this evaluation's masks, so
-               every verdict derived from them stands: revalidate at
-               the *old* version and the rank verdict cache serves
-               all covering candidates again without
-               re-classification.  (Verdicts depend only on the
-               masks; the read-cell set may still differ.) *)
-            e.cells <- cells;
-            e.valid <- true;
-            e
-        | Some e ->
-            s.vclock <- s.vclock + 1;
-            e.masks <- masks;
-            e.cells <- cells;
-            e.valid <- true;
-            e.version <- s.vclock;
-            e
-        | None ->
-            s.vclock <- s.vclock + 1;
-            let e = { masks; cells; valid = true; version = s.vclock } in
-            Memo.add s.memo code e;
-            if s.track then push s e;
-            e)
-  in
-  s.last <- e;
+  let e = lookup k s cond ~u in
   let t0 = rename s part.t0bits in
-  let t1 = ((1 lsl k.n) - 1) lxor t0 in
-  match cond with
-  | Recording -> classify_rec k e.masks part ~t0 ~t1 ~u
-  | Discerning -> classify_disc e.masks ~t0 ~t1
+  classify k cond e.masks ~t0 ~t1:(((1 lsl k.n) - 1) lxor t0) ~u
 
 (* ------------------------------------------------------------------ *)
 (* Patching.  A patch rewrites one transition-table cell in place and
@@ -619,7 +649,7 @@ let check_current k s cond ~u part =
    switches tracking on.
 
    Each entry a patch invalidates is first snapshotted (masks, read-cell
-   bitset and version) into the patch token, which also records the
+   bitset and verdict) into the patch token, which also records the
    patch-event counter at creation.  [unpatch] with a *quiet window* —
    no invalidating event since the token's own patch — restores the
    table to exactly the state the snapshots were computed under, so it
@@ -627,13 +657,10 @@ let check_current k s cond ~u part =
    (the patch left none valid, so each was evaluated under the mutant;
    a window evaluation that did not read [c] folds identically on both
    tables and stays valid), then (b) swaps every snapshot back in,
-   valid, at its original version — a rejected mutation costs zero
-   re-evaluations on the way back, and restoring the version revives
-   the per-rank verdict cache.  Snapshots live in the token, not the
-   entry, so nested live tokens saving the same entry cannot clobber
-   one another, and versions come off a never-reissued scratch clock so
-   a rolled-back version cannot collide with a later re-evaluation's in
-   the verdict cache.
+   valid, with its verdict — a rejected mutation costs zero
+   re-evaluations and zero re-classifications on the way back.
+   Snapshots live in the token, not the entry, so nested live tokens
+   saving the same entry cannot clobber one another.
 
    The quiet-window guard is what keeps restoration sound: a snapshot
    describes the table as it stood at the token's patch.  While an
@@ -654,8 +681,8 @@ type patch = {
   p_stamp : int;
   p_events : int;
   p_epoch : int;
-  p_saved : (entry * int array * int array * int) list;
-      (* (entry, masks, cells, version) at patch time *)
+  p_saved : (entry * int array * int array * verdict) list;
+      (* (entry, masks, cells, verdict) at patch time *)
 }
 
 (* Invalidate every valid entry that read cell [c] (every valid entry
@@ -665,7 +692,7 @@ let drop_readers s c ~save =
   for i = 0 to s.n_entries - 1 do
     let e = s.entries.(i) in
     if e.valid && (c < 0 || e.cells.(c lsr 5) land (1 lsl (c land 31)) <> 0) then begin
-      if save then saved := (e, e.masks, e.cells, e.version) :: !saved;
+      if save then saved := (e, e.masks, e.cells, e.verdict) :: !saved;
       e.valid <- false;
       incr n
     end
@@ -681,9 +708,6 @@ let invalidate k s c =
     if s.track then drop_readers s c ~save:true
     else begin
       s.track <- true;
-      s.v_entry <- Array.make (2 * k.total) dummy_entry;
-      s.v_version <- Array.make (2 * k.total) (-1);
-      s.v_bool <- Bytes.make (2 * k.total) '\000';
       Memo.iter (fun _ e -> push s e) s.memo;
       drop_readers s (-1) ~save:false
     end
@@ -720,10 +744,10 @@ let unpatch k s { p_cell = c; p_resp; p_next; p_stamp; p_events; p_epoch; p_save
        cycle reads as zero net patches. *)
     let n, _ = drop_readers s c ~save:false in
     List.iter
-      (fun (e, masks, cells, version) ->
+      (fun (e, masks, cells, verdict) ->
         e.masks <- masks;
         e.cells <- cells;
-        e.version <- version;
+        e.verdict <- verdict;
         e.valid <- true)
       p_saved;
     s.patches_seen <- p_stamp;
@@ -738,11 +762,11 @@ let unpatch k s { p_cell = c; p_resp; p_next; p_stamp; p_events; p_epoch; p_save
 (* Retargeting: the same compiled kernel and scratch, a new table of the
    same shape.  Everything shape-dependent (trie, partitions, ranks,
    buffer sizes) carries over; the tables are overwritten in place and
-   the scratch is put back in its freshly-made state — memo, entry
-   vector, tracking, verdict cache, hint, [last] — at a cost bounded by
-   what the previous table's decisions used.  The patch clock and the
-   version clock are not rolled back, and the epoch bump voids every
-   outstanding patch token. *)
+   the scratch is put back in its freshly-made state — memo and its
+   [exists] index, entry vector, tracking, hints — at a cost bounded by
+   what the previous table's decisions used.  The patch clock is not
+   rolled back, and the epoch bump voids every outstanding patch
+   token. *)
 
 let retarget ?obs k s (ty : Objtype.t) =
   if
@@ -760,16 +784,13 @@ let retarget ?obs k s (ty : Objtype.t) =
   | None, None -> ()
   | _ -> bind_counters k obs);
   Memo.clear s.memo;
+  Array.fill s.by_ms 0 (Array.length s.by_ms) dummy_entry;
   if s.track then begin
     Array.fill s.entries 0 s.n_entries dummy_entry;
     s.n_entries <- 0;
-    s.track <- false;
-    s.v_entry <- [||];
-    s.v_version <- [||];
-    s.v_bool <- Bytes.empty
+    s.track <- false
   end;
   s.patches_seen <- 0;
-  s.last <- dummy_entry;
   s.hint.(0) <- -1;
   s.hint.(1) <- -1;
   s.epoch <- s.epoch + 1
@@ -834,12 +855,6 @@ let search_range k s cond ~lo ~hi ~stop =
     let rank = ref lo in
     let u = ref (lo / k.per_u) in
     let rem = ref (lo mod k.per_u) in
-    (* The rank-indexed verdict cache (live once the scratch has been
-       patched): a candidate whose entry survived the patches since it
-       was classified is answered by one validity check, no memo probe
-       and no re-classification. *)
-    let vact = s.v_version <> [||] in
-    let vbase = (match cond with Recording -> 0 | Discerning -> 1) * k.total in
     (try
        while !witness = None && !rank < hi do
          let pi = ref (part_index k !rem) in
@@ -853,27 +868,7 @@ let search_range k s cond ~lo ~hi ~stop =
            while !witness = None && !rank < hi && !more do
              if stop !rank then raise Stopped;
              incr checked;
-             let verdict =
-               if vact then begin
-                 let vi = vbase + !rank in
-                 let e = s.v_entry.(vi) in
-                 if e.valid && s.v_version.(vi) = e.version then begin
-                   s.n_pruned <- s.n_pruned + 1;
-                   s.n_reused <- s.n_reused + 1;
-                   Bytes.unsafe_get s.v_bool vi = '\001'
-                 end
-                 else begin
-                   let ok = check_current k s cond ~u:!u part in
-                   let e = s.last in
-                   s.v_entry.(vi) <- e;
-                   s.v_version.(vi) <- e.version;
-                   Bytes.set s.v_bool vi (if ok then '\001' else '\000');
-                   ok
-                 end
-               end
-               else check_current k s cond ~u:!u part
-             in
-             if verdict then witness := Some !rank
+             if check_current k s cond ~u:!u part then witness := Some !rank
              else begin
                incr rank;
                if next_sorted s.ops1 part.size1 k.no then fill_ops1 s part
@@ -899,25 +894,74 @@ let search_range k s cond ~lo ~hi ~stop =
     (!witness, !checked)
   end
 
-(* Existence of a witness, any rank.  Unlike [search_range] (which the
-   minimal-certificate searches need), existence is free to check the
-   previous scan's witness first: a patch rarely breaks it, so the
-   common case is a one-rank scan (one verdict-cache probe, or one
-   re-evaluation) instead of a scan of the whole prefix below it — the
-   decision point [Decide.holds] sits on the synthesizer's hot path. *)
+(* Existence of a witness, any rank — decided over the quotient of the
+   candidate space by process renaming: each (u, sorted op multiset) is
+   one [by_ms] slot, folded once through its memo entry, whose verdict
+   ([some_split_holds]) is kept on the entry.  A scan is then one
+   validity check per slot whose entry survived the patches since, and
+   the previous witnessing slot is re-verified first: a patch rarely
+   breaks it, so on the synthesizer's hot path ([Decide.holds]) an
+   existence query is usually one probe. *)
+let entry_holds k s cond ~u i =
+  let e = s.by_ms.(i) in
+  let e =
+    if e.valid then begin
+      hit s;
+      e
+    end
+    else if e != dummy_entry then begin
+      refresh k s cond ~u e;
+      e
+    end
+    else begin
+      let e = lookup k s cond ~u in
+      s.by_ms.(i) <- e;
+      e
+    end
+  in
+  match e.verdict with
+  | Holds -> true
+  | Fails -> false
+  | Unknown ->
+      let ok = some_split_holds k s cond e.masks ~u in
+      e.verdict <- (if ok then Holds else Fails);
+      ok
+
 let exists k s cond =
+  let per_cond = k.nv * k.nms in
+  if Array.length s.by_ms = 0 then s.by_ms <- Array.make (2 * per_cond) dummy_entry;
   let slot = match cond with Recording -> 0 | Discerning -> 1 in
-  let h = s.hint.(slot) in
-  let scan ~lo ~hi = fst (search_range k s cond ~lo ~hi ~stop:(fun _ -> false)) in
-  (h >= 0 && scan ~lo:h ~hi:(h + 1) <> None)
-  ||
-  match scan ~lo:0 ~hi:k.total with
-  | Some r ->
-      s.hint.(slot) <- r;
-      true
-  | None ->
-      s.hint.(slot) <- -1;
-      false
+  let base = slot * per_cond in
+  let hinted () =
+    let h = s.hint.(slot) in
+    h >= 0
+    && begin
+         unrank_sorted ~m:k.no ~k:k.n ((h - base) mod k.nms) s.cops;
+         entry_holds k s cond ~u:((h - base) / k.nms) h
+       end
+  in
+  (* Every (u, multiset) slot in order, multisets stepped in lex order
+     through [s.cops]. *)
+  let scan () =
+    let witness = ref (-1) and u = ref 0 in
+    while !witness < 0 && !u < k.nv do
+      Array.fill s.cops 0 k.n 0;
+      let i = ref (base + (!u * k.nms)) and more = ref true in
+      while !witness < 0 && !more do
+        if entry_holds k s cond ~u:!u !i then witness := !i
+        else begin
+          incr i;
+          more := next_sorted s.cops k.n k.no
+        end
+      done;
+      incr u
+    done;
+    s.hint.(slot) <- !witness;
+    !witness >= 0
+  in
+  let found = hinted () || scan () in
+  flush k s;
+  found
 
 (* ------------------------------------------------------------------ *)
 (* Single-candidate check, for the fixed-partition search: a throwaway

@@ -33,6 +33,14 @@
       processes it shares a (process, response, final value) triple
       with (discerning, [n] "clash rows" built from per-node subtree
       value sets) — no [Hashtbl]s in the per-candidate loop.
+    - {b Existence over the quotient.}  {!exists} needs no rank order,
+      so it walks [(u, sorted op multiset)] entries instead of
+      candidates: each is folded once, and classified against one
+      representative team split per sub-multiset (T_0 takes the first
+      slots of each op's run; splits with the same per-op counts are
+      images of one another under swaps of same-op slots, which fix the
+      fold).  The entry keeps that verdict, so a re-scan of a patched
+      scratch costs one validity check per entry the patches spared.
 
     Candidates are {e ranked}: the kernel numbers the sequential
     enumeration order of [Decide.candidates] (initial value major, then
@@ -88,10 +96,12 @@ val compile : ?obs:Obs.t -> Objtype.t -> n:int -> t
     [decide.kernel_evals] (trie folds, one per [(condition, u)] and
     sorted op multiset the memo did not hold: a full scan of an
     unpatched scratch makes at most [num_values * C(num_ops + n - 1, n)]
-    per condition) and [decide.partitions_pruned] (candidates classified
-    from a memoized evaluation, skipping schedule replay entirely) in
-    that context's registry.  Every candidate classified counts in
-    exactly one of the two, so their sum does not depend on the memo.
+    per condition) and [decide.partitions_pruned] (visits answered from
+    a memoized evaluation, skipping schedule replay entirely) in that
+    context's registry.  A visit is one candidate in {!search_range} and
+    {!check}, one [(u, multiset)] entry in {!exists}; every visit counts
+    in exactly one of the two, so their sum does not depend on the
+    memo.
     @raise Invalid_argument when [n < 2]. *)
 
 val warm_trie : ?obs:Obs.t -> nprocs:int -> unit -> unit
@@ -115,7 +125,7 @@ val retarget : ?obs:Obs.t -> t -> scratch -> Objtype.t -> unit
 (** [retarget ?obs k s ty] makes [k] decide [ty]: the flat tables are
     overwritten in place from [ty.delta], and [s] is reset to the state
     of a fresh [scratch k] — evaluation memo, patch state (the entry
-    vector patches scan, cell tracking, verdict cache), [exists] hints
+    vector patches scan, cell tracking), the {!exists} index and hints
     — in time bounded by what the previous table's decisions used.  The
     kernel counters are rebound to [obs] (unbound when absent), exactly
     as [compile ?obs] would bind them.  Afterwards [k] and [s] answer
@@ -144,12 +154,17 @@ val search_range :
 
 val exists : t -> scratch -> condition -> bool
 (** Does {e any} candidate witness the condition?  Same verdict as
-    [search_range ~lo:0 ~hi:(total k)] being [Some _], but free to
-    short-circuit: the scratch remembers the last witnessing rank per
-    condition and re-verifies it first (through the verdict cache), so
-    on a patched kernel whose witness survived the edit this costs one
-    probe instead of a scan of the prefix below the witness.  The hot
-    decision point of the incremental synthesizer ([Decide.holds]). *)
+    [search_range ~lo:0 ~hi:(total k)] being [Some _], decided over
+    [(u, sorted op multiset)] entries instead of ranks: one fold per
+    entry and one classification per team split of its multiset (up to
+    swaps of same-op slots and of the two teams), the verdict kept on
+    the memo entry.  A re-scan answers each entry still valid with one
+    check, and the scratch remembers the last witnessing entry per
+    condition and re-verifies it first, so on a patched kernel whose
+    witness survived the edit this costs one probe.  The per-entry index
+    is allocated at the first call.  The decision point of the census
+    ([Engine.census_levels]) and of the incremental synthesizer
+    ([Decide.holds]). *)
 
 val check :
   t ->
@@ -174,11 +189,11 @@ val check :
     its trie fold read, and a patch scans the scratch's vector of memo
     entries and flips off exactly the valid ones whose bitset has the
     edited cell — [O(memo entries)] bit tests, not a memo reset, and
-    never an entry that no longer reads the cell.  A rank-indexed
-    verdict cache making re-scans O(1) per untouched candidate rides on
-    the same validity bits.  {!unpatch} restores the previous entry
-    from the returned token, so a rejected mutation costs two cell
-    writes plus the invalidations.  The snapshot-reviving fast path
+    never an entry that no longer reads the cell.  The {!exists}
+    verdicts kept on the entries ride on the same validity bits.
+    {!unpatch} restores the previous entries (masks and verdicts) from
+    the returned token, so a rejected mutation costs two cell writes
+    plus the invalidations.  The snapshot-reviving fast path
     applies when nothing else was patched between a token's creation
     and its unpatch (the synthesizer's reject cycle); any intervening
     patch/unpatch — nested tokens, out-of-LIFO-order release — degrades
@@ -189,9 +204,9 @@ val check :
     were not yet being tracked) and switches tracking on.
 
     Correctness contract, pinned by the qcheck differential suite: after
-    {e any} sequence of patch/unpatch, the kernel answers {!search_range}
-    and {!check} byte-identically to a fresh {!compile} of the mutated
-    type ({!to_objtype}). *)
+    {e any} sequence of patch/unpatch, the kernel answers {!search_range},
+    {!exists} and {!check} byte-identically to a fresh {!compile} of the
+    mutated type ({!to_objtype}). *)
 
 type patch
 (** Undo token: the previous contents of a patched cell. *)

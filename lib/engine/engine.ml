@@ -534,6 +534,17 @@ type census_run = {
 let add_count hist key w =
   Hashtbl.replace hist key (w + Option.value ~default:0 (Hashtbl.find_opt hist key))
 
+(* A decided rank's (discerning, recording) levels, one byte each at
+   [2i] and [2i + 1].  [Char.chr] raises on a level above 255 instead of
+   truncating it; no census reaches one (deciding it would take the
+   at-most-once trie of 256 processes). *)
+let set_levels levels i (d, r) =
+  Bytes.set levels (2 * i) (Char.chr d);
+  Bytes.set levels ((2 * i) + 1) (Char.chr r)
+
+let get_levels levels i =
+  (Char.code (Bytes.get levels (2 * i)), Char.code (Bytes.get levels ((2 * i) + 1)))
+
 let census ?cache ?obs ?supervisor ?sample ?checkpoint ?(resume = false)
     ?(durable = false) ?injector ~(config : Api.Config.t) pool space =
   if sample <> None && (checkpoint <> None || resume || durable) then
@@ -577,27 +588,30 @@ let census ?cache ?obs ?supervisor ?sample ?checkpoint ?(resume = false)
     | None -> (Bytes.make ranks '\000', Hashtbl.create 64, 0)
   in
   count_checked c_skips resumed;
-  let levels = Array.make ranks (0, 0) in
-  let finished = Array.init ranks (fun i -> Bytes.get covered i <> '\000') in
+  (* One state byte a rank in [covered]: ['\000'] undecided, ['\001']
+     resumed from the progress file, ['\002'] decided and recorded in
+     it, ['\003'] decided and not (yet) recorded.  Two level bytes a
+     rank in [levels]. *)
+  let levels = Bytes.make (2 * ranks) '\000' in
   let completed = Atomic.make resumed in
   let m = Mutex.create () in
-  (* Append one [Done] per maximal run of ranks in [\[lo, stop)] not yet
-     in the file — every such rank is decided by now, so a chunk cut by
-     the deadline records exactly its decided prefix — and mark them
-     ['\002'] in [covered] (['\001'] is resumed), so a chunk re-run by
-     a supervisor retry or a watchdog round never records a rank twice.
+  (* Append one [Done] per maximal run of ranks in [\[lo, stop)] decided
+     but not yet in the file — every rank there is decided by now, so a
+     chunk cut by the deadline records exactly its decided prefix — and
+     mark them ['\002'], so a chunk re-run by a supervisor retry or a
+     watchdog round never records a rank twice.
      A failed append degrades the ledger (sticky, counted) instead of
      raising: the census finishes in memory and reports
      [storage_error]. *)
   let record_chunk led lo stop =
     let i = ref lo in
     while !i < stop do
-      if Bytes.get covered !i <> '\000' then incr i
+      if Bytes.get covered !i <> '\003' then incr i
       else begin
         let a = !i in
         let hist = Hashtbl.create 8 in
-        while !i < stop && Bytes.get covered !i = '\000' do
-          add_count hist levels.(!i) (weight !i);
+        while !i < stop && Bytes.get covered !i = '\003' do
+          add_count hist (get_levels levels !i) (weight !i);
           Bytes.set covered !i '\002';
           incr i
         done;
@@ -629,10 +643,10 @@ let census ?cache ?obs ?supervisor ?sample ?checkpoint ?(resume = false)
              let fresh = ref 0 and fresh_weight = ref 0 in
              let i = ref lo in
              while !i < hi && not (expired deadline) do
-               if not finished.(!i) then begin
-                 levels.(!i) <-
-                   census_levels ?obs cache ~kernel ~cap (Synth.to_objtype (rs.genome !i));
-                 finished.(!i) <- true;
+               if Bytes.get covered !i = '\000' then begin
+                 set_levels levels !i
+                   (census_levels ?obs cache ~kernel ~cap (Synth.to_objtype (rs.genome !i)));
+                 Bytes.set covered !i '\003';
                  incr fresh;
                  fresh_weight := !fresh_weight + weight !i
                end;
@@ -641,11 +655,9 @@ let census ?cache ?obs ?supervisor ?sample ?checkpoint ?(resume = false)
              ignore (Atomic.fetch_and_add completed !fresh_weight);
              count_checked c_tables !fresh;
              Option.iter (fun (led, _) -> record_chunk led lo !i) ledger)));
-  Array.iteri
-    (fun i key ->
-      if finished.(i) && Bytes.get covered i <> '\001' then
-        add_count histogram key (weight i))
-    levels;
+  for i = 0 to ranks - 1 do
+    if Bytes.get covered i >= '\002' then add_count histogram (get_levels levels i) (weight i)
+  done;
   let completed = Atomic.get completed in
   {
     entries = Census.of_histogram histogram;

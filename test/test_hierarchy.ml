@@ -629,6 +629,132 @@ let test_kernel_folds_per_multiset () =
     (fun n -> check_bool (Printf.sprintf "some scans refute at n = %d" n) true (refuted.(n) > 0))
     [ 2; 3; 4 ]
 
+let test_exists_matches_full_scan () =
+  (* [Kernel.exists] decides over (u, sorted op multiset) entries, one
+     representative team split per sub-multiset; [search_range] walks
+     every candidate rank.  On a fresh compile the two must agree: every
+     {2,2,2} table at n = 2..5 and a seeded 500-table {3,2,2} sample at
+     n = 2..4, both conditions, each on its own scratch. *)
+  let agree label ty ns =
+    List.iter
+      (fun n ->
+        let k = Kernel.compile ty ~n in
+        List.iter
+          (fun cond ->
+            let scan =
+              Kernel.search_range k (Kernel.scratch k) cond ~lo:0 ~hi:(Kernel.total k)
+                ~stop:(fun _ -> false)
+            in
+            check_bool
+              (Printf.sprintf "%s n=%d %s" label n
+                 (match cond with Kernel.Discerning -> "disc" | Kernel.Recording -> "rec"))
+              (fst scan <> None)
+              (Kernel.exists k (Kernel.scratch k) cond))
+          [ Kernel.Discerning; Kernel.Recording ])
+      ns
+  in
+  let small = { Synth.num_values = 2; num_rws = 2; num_responses = 2 } in
+  for i = 0 to Census.space_size small - 1 do
+    agree (Printf.sprintf "{2,2,2} #%d" i)
+      (Synth.to_objtype (Census.genome_of_index small i))
+      [ 2; 3; 4; 5 ]
+  done;
+  let space = { Synth.num_values = 3; num_rws = 2; num_responses = 2 } in
+  let rng = Random.State.make [| 0x9a17 |] in
+  for i = 0 to 499 do
+    agree (Printf.sprintf "{3,2,2} draw %d" i)
+      (Synth.to_objtype (Synth.random_genome rng space))
+      [ 2; 3; 4 ]
+  done
+
+let test_exists_one_visit_per_entry () =
+  (* A refuting [exists] on a fresh scratch folds each (u, multiset)
+     once and visits nothing else; a second one answers from the
+     verdicts kept on the memo entries: one memo hit per entry, no fold,
+     and the same answer. *)
+  let space = { Synth.num_values = 4; num_rws = 2; num_responses = 2 } in
+  let binomial a b =
+    let acc = ref 1 in
+    for i = 1 to b do
+      acc := !acc * (a - b + i) / i
+    done;
+    !acc
+  in
+  let refuted = ref 0 in
+  for seed = 0 to 11 do
+    let ty = Synth.to_objtype (Synth.random_genome (Random.State.make [| seed; 0xe1 |]) space) in
+    let entries n = ty.Objtype.num_values * binomial (ty.Objtype.num_ops + n - 1) n in
+    List.iter
+      (fun n ->
+        List.iter
+          (fun cond ->
+            let obs = Obs.create () in
+            let k = Kernel.compile ~obs ty ~n in
+            let s = Kernel.scratch k in
+            let value name = Obs.Metrics.Counter.value (Obs.counter obs name) in
+            if not (Kernel.exists k s cond) then begin
+              incr refuted;
+              let label = Printf.sprintf "seed %d n=%d" seed n in
+              check_int (label ^ ": one fold per (u, multiset)") (entries n)
+                (value "decide.kernel_evals");
+              check_int (label ^ ": no memo hit") 0 (value "decide.partitions_pruned");
+              check_bool (label ^ ": rescan refutes") false (Kernel.exists k s cond);
+              check_int (label ^ ": rescan folds nothing") (entries n)
+                (value "decide.kernel_evals");
+              check_int (label ^ ": rescan hits every entry") (entries n)
+                (value "decide.partitions_pruned")
+            end)
+          [ Kernel.Discerning; Kernel.Recording ])
+      [ 2; 3; 4 ]
+  done;
+  check_bool "some scans refute" true (!refuted > 0)
+
+let test_census_recording_at_most_discerning () =
+  (* The paper's rec <= disc, per table: a recording candidate is a
+     discerning one (a final value reached only by one team's first
+     processes makes every triple containing it one-team too).  Every
+     histogram entry of the {2,2,2} cap-4 census honours it. *)
+  let space = { Synth.num_values = 2; num_rws = 2; num_responses = 2 } in
+  Pool.with_pool ~jobs:1 @@ fun pool ->
+  let run = Engine.census ~config:(Api.Config.v ~cap:4 ()) pool space in
+  check_bool "census complete" true run.Engine.complete;
+  List.iter
+    (fun (e : Census.entry) ->
+      check_bool
+        (Printf.sprintf "(%d,%d): recording <= discerning" e.Census.discerning e.Census.recording)
+        true
+        (e.Census.recording <= e.Census.discerning))
+    run.Engine.entries
+
+let test_exists_recording_implies_discerning () =
+  (* The same implication at the decision point: on seeded random types
+     at n <= 4, [exists Recording] implies [exists Discerning]. *)
+  let spaces =
+    [
+      { Synth.num_values = 3; num_rws = 2; num_responses = 2 };
+      { Synth.num_values = 4; num_rws = 3; num_responses = 3 };
+    ]
+  in
+  let recording = ref 0 in
+  List.iteri
+    (fun si space ->
+      for seed = 0 to 99 do
+        let ty = Synth.to_objtype (Synth.random_genome (Random.State.make [| seed; si; 0x4ec |]) space) in
+        List.iter
+          (fun n ->
+            let k = Kernel.compile ty ~n in
+            let s = Kernel.scratch k in
+            if Kernel.exists k s Kernel.Recording then begin
+              incr recording;
+              check_bool
+                (Printf.sprintf "space %d seed %d n=%d: recording implies discerning" si seed n)
+                true (Kernel.exists k s Kernel.Discerning)
+            end)
+          [ 2; 3; 4 ]
+      done)
+    spaces;
+  check_bool "some types are recording" true (!recording > 0)
+
 let prop_patched_kernel_matches_fresh_compile =
   (* The incremental-patching contract (the synthesizer's warm-start
      search leans on it): after any patch/unpatch sequence, the patched
@@ -637,7 +763,8 @@ let prop_patched_kernel_matches_fresh_compile =
      mostly released LIFO (the quiet-window restore) but sometimes out
      of order, which forces the plain-invalidation fallback; an unpatch
      writes back the entry its own patch replaced, whatever the cell
-     holds by then.  The shadow table tracks what the kernel's cells must
+     holds by then; every out-of-order release is followed by an
+     interrogation.  The shadow table tracks what the kernel's cells must
      currently hold; interrogations mid-sequence exercise memo churn
      (entries invalidated by one edit, revalidated by its revert). *)
   let arbitrary = QCheck.make ~print:string_of_int QCheck.Gen.int in
@@ -671,16 +798,20 @@ let prop_patched_kernel_matches_fresh_compile =
             &&
             let fresh = Kernel.compile mutated ~n in
             let fs = Kernel.scratch fresh in
+            (* [exists] (entry-level verdicts, then the hint) against
+               the fresh compile's rank scan, then the rank scans. *)
             List.for_all
               (fun cond ->
                 let stop _ = false in
-                Kernel.exists k s cond = Kernel.exists fresh fs cond
-                && Kernel.search_range k s cond ~lo:0 ~hi:(Kernel.total k) ~stop
-                   = Kernel.search_range fresh fs cond ~lo:0 ~hi:(Kernel.total fresh) ~stop)
+                let scan = Kernel.search_range fresh fs cond ~lo:0 ~hi:(Kernel.total fresh) ~stop in
+                Kernel.exists k s cond = (fst scan <> None)
+                && Kernel.exists k s cond = (fst scan <> None)
+                && Kernel.search_range k s cond ~lo:0 ~hi:(Kernel.total k) ~stop = scan)
               [ Kernel.Discerning; Kernel.Recording ]
           in
           let ok = ref true in
           for _step = 0 to 31 do
+            let out_of_order = ref false in
             (if !stack = [] || Random.State.int rng 3 > 0 then begin
                let v = Random.State.int rng nv and o = Random.State.int rng no in
                let r = Random.State.int rng nr and v' = Random.State.int rng nv in
@@ -695,11 +826,14 @@ let prop_patched_kernel_matches_fresh_compile =
                  if Random.State.int rng 4 = 0 then Random.State.int rng (List.length !stack) else 0
                in
                let tok, c, prev = List.nth !stack i in
+               out_of_order := i > 0;
                Kernel.unpatch k s tok;
                shadow.(c) <- prev;
                stack := List.filteri (fun j _ -> j <> i) !stack
              end);
-            if Random.State.int rng 4 = 0 then ok := !ok && agrees ()
+            (* Always interrogate after an out-of-order release: it
+               discards the token's snapshots, verdicts included. *)
+            if Random.State.int rng 4 = 0 || !out_of_order then ok := !ok && agrees ()
           done;
           !ok && agrees ())
         [ 2; 3 ])
@@ -758,8 +892,9 @@ let prop_retargeted_kernel_matches_fresh_compile =
           let s = Kernel.scratch k in
           let ok = ref true in
           for _step = 0 to 11 do
-            (* Dirty the scratch first, sometimes: a warm memo, live
-               patches (tokens left outstanding), a live verdict cache. *)
+            (* Dirty the scratch first, sometimes: a warm memo with
+               verdicts on its entries, live patches (tokens left
+               outstanding). *)
             if Random.State.bool rng then ignore (Kernel.exists k s Kernel.Recording);
             for _ = 1 to Random.State.int rng 4 do
               let v = Random.State.int rng nv and o = Random.State.int rng no in
@@ -861,4 +996,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_reference_verdict_is_process_symmetric;
     Alcotest.test_case "kernel folds once per sorted op multiset" `Quick
       test_kernel_folds_per_multiset;
+    Alcotest.test_case "exists agrees with the full rank scan" `Quick test_exists_matches_full_scan;
+    Alcotest.test_case "exists visits each (u, multiset) entry once" `Quick
+      test_exists_one_visit_per_entry;
+    Alcotest.test_case "census entries: recording <= discerning" `Quick
+      test_census_recording_at_most_discerning;
+    Alcotest.test_case "exists: recording implies discerning" `Quick
+      test_exists_recording_implies_discerning;
   ]
