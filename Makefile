@@ -27,16 +27,22 @@ check: build test inject-smoke stats-smoke soak-smoke serve-smoke dist-smoke syn
 # Then pin the kernel counters of a fixed {2,2,2} cap-4 census at one and
 # at two jobs: the census reuses one kernel per (domain, process count),
 # retargeted per table, and every count must land in the run's registry
-# exactly as 256 fresh compiles would put it there.  A seeded 500-table
-# sample of {3,2,2} runs the same engine sweep and is pinned the same way.
+# exactly as a fresh compile per table would put it there.  A seeded
+# 500-table sample of {3,2,2} runs the same engine sweep and is pinned
+# the same way.
 # A census decides through Kernel.exists, which walks (initial value,
-# sorted op multiset) entries: decide.kernel_evals counts the entries
-# folded and decide.partitions_pruned those answered from the memo
-# without a fold.  Each (table, n, condition) scan runs on a freshly
-# retargeted scratch and visits an entry at most once, so the second is
-# 0 and the first is the number of entries visited.
-# The built binaries are invoked directly: two `dune exec` in one pipeline
-# contend for the _build lock.
+# sorted op multiset) entries, and counts each entry it visits once:
+# decide.kernel_evals if folded, decide.partitions_pruned if answered
+# from the memo, decide.entries_skipped if passed without either.  Each
+# table climbs one ladder: the per-n kernel is retargeted once per table
+# and serves both conditions, rung n >= 3 decides with the n - 1 kernel
+# as `below` (an entry is folded only if its sub-multisets leave it
+# open; the sub-entries are decided there, lazily, and revisits hit its
+# memo), and a recording entry whose discerning entry was refuted is
+# skipped.  Recording is decided only up to the discerning level.
+# Both censuses then run again on the reference decider (--kernel off,
+# every rung of both conditions unpruned), and their histogram lines
+# must equal the compiled ones.
 stats-smoke: build
 	mkdir -p $(SMOKE_DIR)
 	./_build/default/bin/rcn.exe analyze x4-witness --cap 4 --jobs 2 --stats json \
@@ -49,15 +55,25 @@ stats-smoke: build
 	    --jobs $$jobs --stats json \
 	    | tee $(SMOKE_DIR)/stats-smoke-census-$$jobs.out \
 	    | ./_build/default/tools/stats_check.exe --require-eq census.tables=256 \
-	        --require-eq decide.kernel_evals=8000 \
-	        --require-eq decide.partitions_pruned=0 || exit 1; \
+	        --require-eq decide.kernel_evals=3728 \
+	        --require-eq decide.partitions_pruned=3152 \
+	        --require-eq decide.entries_skipped=4336 || exit 1; \
 	  ./_build/default/bin/rcn.exe census --values 3 --rws 2 --responses 2 --cap 4 \
 	    --sample 500 --seed 42 --jobs $$jobs --stats json \
 	    | tee $(SMOKE_DIR)/stats-smoke-sample-$$jobs.out \
 	    | ./_build/default/tools/stats_check.exe --require-eq census.tables=500 \
-	        --require-eq decide.kernel_evals=28083 \
-	        --require-eq decide.partitions_pruned=0 || exit 1; \
+	        --require-eq decide.kernel_evals=12359 \
+	        --require-eq decide.partitions_pruned=13524 \
+	        --require-eq decide.entries_skipped=20303 || exit 1; \
 	done
+	./_build/default/bin/rcn.exe census --values 2 --rws 2 --responses 2 --cap 4 \
+	  --jobs 1 --kernel off > $(SMOKE_DIR)/stats-smoke-census-off.out
+	grep -v '^{' $(SMOKE_DIR)/stats-smoke-census-1.out \
+	  | diff - $(SMOKE_DIR)/stats-smoke-census-off.out
+	./_build/default/bin/rcn.exe census --values 3 --rws 2 --responses 2 --cap 4 \
+	  --sample 500 --seed 42 --jobs 1 --kernel off > $(SMOKE_DIR)/stats-smoke-sample-off.out
+	grep -v '^{' $(SMOKE_DIR)/stats-smoke-sample-1.out \
+	  | diff - $(SMOKE_DIR)/stats-smoke-sample-off.out
 	rm -f $(SMOKE_DIR)/stats-smoke.out $(SMOKE_DIR)/stats-smoke-census-*.out \
 	  $(SMOKE_DIR)/stats-smoke-sample-*.out
 

@@ -179,7 +179,7 @@ let is_recording t ~n = Option.is_some (search Recording t ~n)
    [is_recording] on the kernel's current tables, but against a caller-owned
    long-lived kernel + scratch — the synthesizer holds one per fitness level
    across a whole climb and mutates it with [Kernel.patch] between calls. *)
-let holds k s condition = Kernel.exists k s condition
+let holds ?below k s condition = Kernel.exists ?below k s condition
 
 let search_partitioned ?(clean = false) ?(mode = Kernel.Trie) condition t ~team =
   let n = Array.length team in

@@ -58,6 +58,18 @@ let unrank_sorted ~m ~k rank buf =
     lowest := !o
   done
 
+(* The inverse of [unrank_sorted]: the lex rank of the nondecreasing
+   [buf.(0 .. k-1)] over [0 .. m-1]. *)
+let rank_sorted ~m ~k buf =
+  let rank = ref 0 and lowest = ref 0 in
+  for pos = 0 to k - 1 do
+    for o = !lowest to buf.(pos) - 1 do
+      rank := !rank + multiset_count (m - o) (k - pos - 1)
+    done;
+    lowest := buf.(pos)
+  done;
+  !rank
+
 (* Step [buf.(0 .. k-1)] to its lex successor in place; [false] on wrap
    (the last sequence, all [m-1]).  Successor: bump the rightmost slot
    below [m-1] and level everything to its right at the new value. *)
@@ -175,6 +187,7 @@ type t = {
   mutable obs : Obs.t option;
   mutable c_evals : Obs.Metrics.Counter.t option;
   mutable c_pruned : Obs.Metrics.Counter.t option;
+  mutable c_skipped : Obs.Metrics.Counter.t option;
   mutable c_patches : Obs.Metrics.Counter.t option;
   mutable c_invalidated : Obs.Metrics.Counter.t option;
   mutable c_reused : Obs.Metrics.Counter.t option;
@@ -207,6 +220,7 @@ let bind_counters k obs =
   k.obs <- obs;
   k.c_evals <- c "decide.kernel_evals";
   k.c_pruned <- c "decide.partitions_pruned";
+  k.c_skipped <- c "decide.entries_skipped";
   k.c_patches <- c "kernel.patches";
   k.c_invalidated <- c "kernel.masks_invalidated";
   k.c_reused <- c "kernel.masks_reused"
@@ -250,6 +264,7 @@ let compile ?obs (ty : Objtype.t) ~n =
       obs = None;
       c_evals = None;
       c_pruned = None;
+      c_skipped = None;
       c_patches = None;
       c_invalidated = None;
       c_reused = None;
@@ -327,11 +342,18 @@ type scratch = {
          (Recording at 0, Discerning at 1), -1 when the last scan
          refuted.  Always re-verified before being trusted, so staleness
          is harmless. *)
+  mutable sub_rank : int array;
+      (* [exists ~below]'s sub-multiset ranks: slot [r * no + o] holds
+         the lex rank, among sorted multisets of size [n - 1], of the
+         [r]-th multiset of size [n] less one [o], or -1 when it holds no
+         [o].  Shape-only, so a retarget keeps it; built at the first
+         [exists ~below]. *)
   (* Counter traffic, tallied here per candidate and flushed into the
      kernel's counters once per public call ([flush]): one atomic add
      per scan instead of one per candidate. *)
   mutable n_evals : int;
   mutable n_pruned : int;
+  mutable n_skipped : int;
   mutable n_reused : int;
   mutable epoch : int; (* bumped by [retarget]; patch tokens carry it *)
 }
@@ -360,8 +382,10 @@ let scratch k =
     patch_events = 0;
     by_ms = [||];
     hint = [| -1; -1 |];
+    sub_rank = [||];
     n_evals = 0;
     n_pruned = 0;
+    n_skipped = 0;
     n_reused = 0;
     epoch = 0;
   }
@@ -565,9 +589,11 @@ let add_opt c n = match c with Some c when n <> 0 -> Obs.Metrics.Counter.add c n
 let flush k s =
   add_opt k.c_evals s.n_evals;
   add_opt k.c_pruned s.n_pruned;
+  add_opt k.c_skipped s.n_skipped;
   add_opt k.c_reused s.n_reused;
   s.n_evals <- 0;
   s.n_pruned <- 0;
+  s.n_skipped <- 0;
   s.n_reused <- 0
 
 (* Append [e] to the scratch's entry vector, the list patches scan.  It
@@ -927,11 +953,92 @@ let entry_holds k s cond ~u i =
       e.verdict <- (if ok then Holds else Fails);
       ok
 
-let exists k s cond =
-  let per_cond = k.nv * k.nms in
-  if Array.length s.by_ms = 0 then s.by_ms <- Array.make (2 * per_cond) dummy_entry;
+let ensure_index k s =
+  if Array.length s.by_ms = 0 then s.by_ms <- Array.make (2 * k.nv * k.nms) dummy_entry
+
+(* Recording implies discerning candidate by candidate (a final value
+   reached from one team only makes every triple holding it one-team),
+   so a recording slot whose discerning twin — the same slot in the
+   other half of [by_ms] — is valid and refuted fails too. *)
+let disc_refutes k s cond i =
+  cond = Recording
+  &&
+  let d = s.by_ms.(i + (k.nv * k.nms)) in
+  d.valid && d.verdict = Fails
+
+(* [s.sub_rank] for [k] (see the field). *)
+let sub_ranks k =
+  let n = k.n and no = k.no in
+  let tab = Array.make (k.nms * no) (-1) in
+  let ms = Array.make n 0 and sub = Array.make (n - 1) 0 in
+  for r = 0 to k.nms - 1 do
+    for j = 0 to n - 1 do
+      if j = 0 || ms.(j) <> ms.(j - 1) then begin
+        Array.blit ms 0 sub 0 j;
+        Array.blit ms (j + 1) sub j (n - 1 - j);
+        tab.((r * no) + ms.(j)) <- rank_sorted ~m:no ~k:(n - 1) sub
+      end
+    done;
+    ignore (next_sorted ms n no)
+  done;
+  tab
+
+(* The ladder.  A split witnessing the entry (u, M) at [n] processes has
+   at least [n - 1] of them on a team of size >= 2, and dropping any one
+   of those leaves a split of [M] less its op that witnesses at [n - 1]:
+   both teams stay nonempty, the schedules of the others are a subset of
+   the old ones, and the recording hiding clause still holds (the other
+   team is unchanged, and the shrunk team had no schedule of the other's
+   ending at [u]).  So the entry can hold only if at most one of the [n]
+   slots of [M], counted with multiplicity, leaves a sub-entry that
+   fails on [below] ([kb], [sb]), which decides and keeps it lazily.
+   [r] is [M]'s lex rank, [M] itself is in [s.cops]. *)
+let rec ladder_open k s (kb, sb) cond ~u r =
+  let n = k.n and cops = s.cops and sub = sb.cops in
+  let base = (((match cond with Recording -> 0 | Discerning -> 1) * kb.nv) + u) * kb.nms in
+  let misses = ref 0 and j = ref 0 in
+  while !misses <= 1 && !j < n do
+    let o = cops.(!j) and stop = ref (!j + 1) in
+    while !stop < n && cops.(!stop) = o do
+      incr stop
+    done;
+    Array.blit cops 0 sub 0 !j;
+    Array.blit cops (!j + 1) sub !j (n - 1 - !j);
+    if not (slot_holds kb sb cond ~u (base + s.sub_rank.((r * k.no) + o))) then
+      misses := !misses + (!stop - !j);
+    j := !stop
+  done;
+  !misses <= 1
+
+(* The verdict of [by_ms] slot [i], whose multiset is in [s.cops]: a
+   valid entry answers; otherwise the entry is passed without a fold
+   (counted as skipped) when its discerning twin or the ladder refutes
+   it, and decided by [entry_holds] when neither does. *)
+and slot_holds ?below k s cond ~u i =
+  if s.by_ms.(i).valid then entry_holds k s cond ~u i
+  else if
+    disc_refutes k s cond i
+    || match below with Some b -> not (ladder_open k s b cond ~u (i mod k.nms)) | None -> false
+  then begin
+    s.n_skipped <- s.n_skipped + 1;
+    false
+  end
+  else entry_holds k s cond ~u i
+
+let exists ?below k s cond =
+  (match below with
+  | None -> ()
+  | Some (kb, sb) ->
+      if kb.n <> k.n - 1 then
+        invalid_arg
+          (Printf.sprintf "Kernel.exists: below is compiled at n = %d, expected %d" kb.n (k.n - 1));
+      if kb.next <> k.next || kb.resp <> k.resp then
+        invalid_arg "Kernel.exists: below decides a different table";
+      ensure_index kb sb;
+      if Array.length s.sub_rank = 0 then s.sub_rank <- sub_ranks k);
+  ensure_index k s;
   let slot = match cond with Recording -> 0 | Discerning -> 1 in
-  let base = slot * per_cond in
+  let base = slot * k.nv * k.nms in
   let hinted () =
     let h = s.hint.(slot) in
     h >= 0
@@ -948,7 +1055,7 @@ let exists k s cond =
       Array.fill s.cops 0 k.n 0;
       let i = ref (base + (!u * k.nms)) and more = ref true in
       while !witness < 0 && !more do
-        if entry_holds k s cond ~u:!u !i then witness := !i
+        if slot_holds ?below k s cond ~u:!u !i then witness := !i
         else begin
           incr i;
           more := next_sorted s.cops k.n k.no
@@ -961,6 +1068,7 @@ let exists k s cond =
   in
   let found = hinted () || scan () in
   flush k s;
+  Option.iter (fun (kb, sb) -> flush kb sb) below;
   found
 
 (* ------------------------------------------------------------------ *)

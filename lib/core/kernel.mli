@@ -41,6 +41,9 @@
       images of one another under swaps of same-op slots, which fix the
       fold).  The entry keeps that verdict, so a re-scan of a patched
       scratch costs one validity check per entry the patches spared.
+      Given the same table at [n - 1] processes, it also skips every
+      entry whose one-smaller sub-multisets refute it (the ladder; see
+      {!exists}).
 
     Candidates are {e ranked}: the kernel numbers the sequential
     enumeration order of [Decide.candidates] (initial value major, then
@@ -98,10 +101,12 @@ val compile : ?obs:Obs.t -> Objtype.t -> n:int -> t
     unpatched scratch makes at most [num_values * C(num_ops + n - 1, n)]
     per condition) and [decide.partitions_pruned] (visits answered from
     a memoized evaluation, skipping schedule replay entirely) in that
-    context's registry.  A visit is one candidate in {!search_range} and
-    {!check}, one [(u, multiset)] entry in {!exists}; every visit counts
-    in exactly one of the two, so their sum does not depend on the
-    memo.
+    context's registry, and [decide.entries_skipped] ({!exists}
+    entries passed without a fold).  A visit is one candidate in
+    {!search_range} and {!check}, one [(u, multiset)] entry in
+    {!exists}; every visit counts in exactly one of the three, and
+    {!search_range} and {!check} skip nothing, so there the sum of the
+    first two does not depend on the memo.
     @raise Invalid_argument when [n < 2]. *)
 
 val warm_trie : ?obs:Obs.t -> nprocs:int -> unit -> unit
@@ -152,7 +157,7 @@ val search_range :
     the witness) — the hook parallel workers use for deadline polls and
     minimum-rank pruning. *)
 
-val exists : t -> scratch -> condition -> bool
+val exists : ?below:t * scratch -> t -> scratch -> condition -> bool
 (** Does {e any} candidate witness the condition?  Same verdict as
     [search_range ~lo:0 ~hi:(total k)] being [Some _], decided over
     [(u, sorted op multiset)] entries instead of ranks: one fold per
@@ -162,9 +167,27 @@ val exists : t -> scratch -> condition -> bool
     check, and the scratch remembers the last witnessing entry per
     condition and re-verifies it first, so on a patched kernel whose
     witness survived the edit this costs one probe.  The per-entry index
-    is allocated at the first call.  The decision point of the census
-    ([Engine.census_levels]) and of the incremental synthesizer
-    ([Decide.holds]). *)
+    is allocated at the first call.
+
+    Two rules pass an entry without folding it (counted in
+    [decide.entries_skipped]; a visit is then a fold, a memo hit or a
+    skip):
+    - a recording entry whose discerning entry on the same scratch is
+      valid and refuted fails (recording implies discerning candidate by
+      candidate);
+    - with [below], the same table compiled at [n - 1] processes with
+      its own scratch, an entry [(u, M)] is folded only when at least
+      [n - 1] of the [n] slots of [M] (counted with multiplicity) leave
+      a sub-entry [(u, M - {o})] that holds on [below]: a witnessing
+      split keeps witnessing when a process leaves a team of size at
+      least 2, and at least [n - 1] processes sit on such a team.  The
+      sub-entries are decided through [below]'s own index and keep their
+      verdicts there; [below]'s counters count them.
+    The answer is the same with or without [below].  The decision point
+    of the census ([Engine.census_levels], with [below] from [n = 3]) and
+    of the incremental synthesizer ([Decide.holds], without).
+    @raise Invalid_argument when [below] is not compiled at [n - 1] or
+    its transition tables differ from [k]'s. *)
 
 val check :
   t ->

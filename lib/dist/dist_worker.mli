@@ -6,7 +6,9 @@
     [Assign]ed rank range, decide it in [stride]-sized batches on a
     domain pool of [config.jobs] workers via [Engine.census_levels]
     (warming the same per-process-count state as [Engine.census], so
-    decided levels are independent of which worker decides a table),
+    decided levels are independent of which worker decides a table; the
+    compiled path climbs the same pruned ladder, [Kernel.exists ~below]
+    the [n - 1] kernel at each rung [n >= 3]),
     heartbeat [Progress] between batches, obey [Truncate] steals, and
     report the range's histogram as [Result].
 

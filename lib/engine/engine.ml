@@ -414,32 +414,51 @@ let census_kernel ?obs (ty : Objtype.t) ~n =
       !slots.(n) <- Some slot;
       slot
 
-(* Truncated levels of one census table.  The verdicts are
-   [Census.levels]' — the compiled path decides each (condition, n) on
-   this domain's reused kernel with the same full-range scan a fresh
-   [Decide.search] runs (same counts, no certificate built); the
-   reference path replays the shared schedule sets.  Per-type outcomes
-   are not cached: census tables are pairwise distinct, so an outcome
-   memo would only grow. *)
+(* Truncated levels of one census table, [Census.levels]' verdicts.  The
+   reference path replays the shared schedule sets, every rung of both
+   conditions unpruned: it is the independent decider the compiled path
+   is checked against.  The compiled path runs one ladder on this
+   domain's reused kernels: each per-[n] slot is retargeted to [ty] at
+   most once, the first time a rung needs it, and both conditions share
+   it.  Rung [n >= 3] decides with [~below] the [n - 1] slot, which the
+   rung below has already retargeted and partly decided, and recording
+   is decided only up to the discerning level [d] (recording implies
+   discerning), on the scratches that keep the discerning verdicts.
+   Per-type outcomes are not cached: census tables are pairwise
+   distinct, so an outcome memo would only grow. *)
 let census_levels ?obs cache ~kernel ~cap ty =
-  let level condition =
-    let rec loop n =
-      if n > cap then cap
-      else
-        let found =
-          match kernel with
-          | Kernel.Reference ->
-              let scheds = Cache.scheds cache ~n in
-              Option.is_some (Decide.search ~scheds ~mode:Kernel.Reference condition ty ~n)
-          | Kernel.Trie ->
-              let slot = census_kernel ?obs ty ~n in
-              Decide.holds slot.k slot.s condition
-        in
-        if found then loop (n + 1) else n - 1
-    in
-    loop 2
+  let rec climb holds ~top n =
+    if n > top then top else if holds n then climb holds ~top (n + 1) else n - 1
   in
-  (level Decide.Discerning, level Decide.Recording)
+  match kernel with
+  | Kernel.Reference ->
+      let holds condition n =
+        let scheds = Cache.scheds cache ~n in
+        Option.is_some (Decide.search ~scheds ~mode:Kernel.Reference condition ty ~n)
+      in
+      (climb (holds Decide.Discerning) ~top:cap 2, climb (holds Decide.Recording) ~top:cap 2)
+  | Kernel.Trie ->
+      let slots = Array.make (cap + 1) None in
+      let slot n =
+        match slots.(n) with
+        | Some sl -> sl
+        | None ->
+            let sl = census_kernel ?obs ty ~n in
+            slots.(n) <- Some sl;
+            sl
+      in
+      let holds condition n =
+        let sl = slot n in
+        let below =
+          if n > 2 then
+            let b = slot (n - 1) in
+            Some (b.k, b.s)
+          else None
+        in
+        Decide.holds ?below sl.k sl.s condition
+      in
+      let d = climb (holds Decide.Discerning) ~top:cap 2 in
+      (d, climb (holds Decide.Recording) ~top:d 2)
 
 type census_ranks = {
   ranks : int;

@@ -231,10 +231,16 @@ val census_levels :
     sweep {!census} runs per table, exposed so a distributed-census
     worker process ([lib/dist]) decides its leased rank range exactly
     like the in-process sweep decides a chunk.  [Trie] decides on the
-    calling domain's reused kernels (one per process
-    count, {!Kernel.retarget}ed to [ty]), with the verdicts and
-    [decide.*] counts of a fresh [Decide.search] per level; [Reference]
-    replays [cache]'s shared schedule sets.  The kernels are per domain,
+    calling domain's reused kernels (one per process count,
+    {!Kernel.retarget}ed to [ty] at most once per table, the first time
+    a rung needs it, and shared by both conditions) as one ladder:
+    discerning for [n = 2, 3, ...], each rung [n >= 3] through
+    [Kernel.exists ~below] the [n - 1] kernel, then recording only up to
+    the discerning level [d] (recording implies discerning), on the same
+    scratches.  [Reference] replays [cache]'s shared schedule sets and
+    decides every rung of both conditions unpruned, so it stays an
+    independent check of the ladder.  Both give [Census.levels]'
+    verdicts.  The kernels are per domain,
     not per thread: two systhreads of one domain must not run it at the
     same time (pool workers run one chunk at a time, and [rcn serve]
     runs every engine request on its one scheduler thread).

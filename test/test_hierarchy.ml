@@ -629,43 +629,75 @@ let test_kernel_folds_per_multiset () =
     (fun n -> check_bool (Printf.sprintf "some scans refute at n = %d" n) true (refuted.(n) > 0))
     [ 2; 3; 4 ]
 
+let cond_name = function Kernel.Discerning -> "disc" | Kernel.Recording -> "rec"
+
 let test_exists_matches_full_scan () =
   (* [Kernel.exists] decides over (u, sorted op multiset) entries, one
      representative team split per sub-multiset; [search_range] walks
-     every candidate rank.  On a fresh compile the two must agree: every
-     {2,2,2} table at n = 2..5 and a seeded 500-table {3,2,2} sample at
-     n = 2..4, both conditions, each on its own scratch. *)
-  let agree label ty ns =
+     every candidate rank.  On a fresh compile the two must agree, and
+     so must [exists ~below] the same table at n - 1, which folds an
+     entry only when the ladder leaves it open and skips a recording
+     entry whose discerning twin was refuted on the same scratch.  Every
+     {2,2,2} table at n = 2..5 and 500 seeded draws each from {3,2,2}
+     and {4,3,3} at n = 2..4, both conditions: plain [exists] on its own
+     scratch per condition, the pruned one discerning first on one
+     scratch, as in the census.  Every other table has its [below]
+     scanned first (the census state); the rest start it fresh, so every
+     sub-entry is decided lazily. *)
+  let skipped = ref 0 in
+  let agree label i ty ns =
     List.iter
       (fun n ->
-        let k = Kernel.compile ty ~n in
+        let obs = Obs.create () in
+        let k = Kernel.compile ~obs ty ~n in
+        let below =
+          if n < 3 then None
+          else begin
+            let kb = Kernel.compile ~obs ty ~n:(n - 1) in
+            let sb = Kernel.scratch kb in
+            if i mod 2 = 0 then begin
+              ignore (Kernel.exists kb sb Kernel.Discerning);
+              ignore (Kernel.exists kb sb Kernel.Recording)
+            end;
+            Some (kb, sb)
+          end
+        in
+        let pruned = Kernel.scratch k in
         List.iter
           (fun cond ->
             let scan =
               Kernel.search_range k (Kernel.scratch k) cond ~lo:0 ~hi:(Kernel.total k)
                 ~stop:(fun _ -> false)
             in
-            check_bool
-              (Printf.sprintf "%s n=%d %s" label n
-                 (match cond with Kernel.Discerning -> "disc" | Kernel.Recording -> "rec"))
-              (fst scan <> None)
-              (Kernel.exists k (Kernel.scratch k) cond))
-          [ Kernel.Discerning; Kernel.Recording ])
+            let label = Printf.sprintf "%s n=%d %s" label n (cond_name cond) in
+            check_bool label (fst scan <> None) (Kernel.exists k (Kernel.scratch k) cond);
+            check_bool (label ^ " ~below") (fst scan <> None) (Kernel.exists ?below k pruned cond))
+          [ Kernel.Discerning; Kernel.Recording ];
+        skipped := !skipped + Obs.Metrics.Counter.value (Obs.counter obs "decide.entries_skipped"))
       ns
   in
   let small = { Synth.num_values = 2; num_rws = 2; num_responses = 2 } in
   for i = 0 to Census.space_size small - 1 do
-    agree (Printf.sprintf "{2,2,2} #%d" i)
+    agree (Printf.sprintf "{2,2,2} #%d" i) i
       (Synth.to_objtype (Census.genome_of_index small i))
       [ 2; 3; 4; 5 ]
   done;
-  let space = { Synth.num_values = 3; num_rws = 2; num_responses = 2 } in
-  let rng = Random.State.make [| 0x9a17 |] in
-  for i = 0 to 499 do
-    agree (Printf.sprintf "{3,2,2} draw %d" i)
-      (Synth.to_objtype (Synth.random_genome rng space))
-      [ 2; 3; 4 ]
-  done
+  List.iter
+    (fun (space, seed) ->
+      let rng = Random.State.make [| seed |] in
+      for i = 0 to 499 do
+        agree
+          (Printf.sprintf "{%d,%d,%d} draw %d" space.Synth.num_values space.Synth.num_rws
+             space.Synth.num_responses i)
+          i
+          (Synth.to_objtype (Synth.random_genome rng space))
+          [ 2; 3; 4 ]
+      done)
+    [
+      ({ Synth.num_values = 3; num_rws = 2; num_responses = 2 }, 0x9a17);
+      ({ Synth.num_values = 4; num_rws = 3; num_responses = 3 }, 0x1ade);
+    ];
+  check_bool "some entries skipped" true (!skipped > 0)
 
 let test_exists_one_visit_per_entry () =
   (* A refuting [exists] on a fresh scratch folds each (u, multiset)
@@ -712,19 +744,139 @@ let test_exists_one_visit_per_entry () =
 let test_census_recording_at_most_discerning () =
   (* The paper's rec <= disc, per table: a recording candidate is a
      discerning one (a final value reached only by one team's first
-     processes makes every triple containing it one-team too).  Every
-     histogram entry of the {2,2,2} cap-4 census honours it. *)
+     processes makes every triple containing it one-team too).  The
+     engine's census bounds recording by the discerning level by
+     construction, so the pin runs on [Census.exhaustive], which decides
+     both conditions independently: every histogram entry of the {2,2,2}
+     cap-4 census honours it. *)
   let space = { Synth.num_values = 2; num_rws = 2; num_responses = 2 } in
-  Pool.with_pool ~jobs:1 @@ fun pool ->
-  let run = Engine.census ~config:(Api.Config.v ~cap:4 ()) pool space in
-  check_bool "census complete" true run.Engine.complete;
+  let entries = Census.exhaustive ~cap:4 space in
+  check_int "every table decided" (Census.space_size space)
+    (List.fold_left (fun acc (e : Census.entry) -> acc + e.Census.count) 0 entries);
   List.iter
     (fun (e : Census.entry) ->
       check_bool
         (Printf.sprintf "(%d,%d): recording <= discerning" e.Census.discerning e.Census.recording)
         true
         (e.Census.recording <= e.Census.discerning))
-    run.Engine.entries
+    entries
+
+(* Every sorted op multiset of size [n] over [no] ops, in lex order. *)
+let sorted_multisets ~no n =
+  let rec go n lo =
+    if n = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun o -> List.map (List.cons o) (go (n - 1) o))
+        (List.init (no - lo) (( + ) lo))
+  in
+  List.map Array.of_list (go n 0)
+
+(* Does some team split of the sorted multiset [ops] witness [cond] at
+   initial value [u]?  Every split, p_0 on T_0, through [Kernel.check]. *)
+let entry_holds k s cond ~u ops =
+  let n = Array.length ops in
+  let full = (1 lsl n) - 1 in
+  let rec go t0 =
+    t0 < full
+    && (Kernel.check k s cond ~u ~team:(Array.init n (fun i -> (t0 lsr i) land 1 = 0)) ~ops
+       || go (t0 + 2))
+  in
+  go 1
+
+let test_ladder_entry_level () =
+  (* The entry-level facts [exists ~below] prunes by, checked split by
+     split through [Kernel.check]: every holding (u, M) entry at n has at
+     least n - 1 slots of M (with multiplicity) whose removal leaves a
+     holding entry at n - 1, and every holding recording entry has a
+     holding discerning entry.  Entries with exactly n - 1 such slots
+     exist (level-4 recording on the {3,2,2} census space among them), so
+     demanding all n slots would refute true entries. *)
+  let tight = ref 0 in
+  let check_table ?(tally = false) label ty ns =
+    let no = ty.Objtype.num_ops in
+    List.iter
+      (fun n ->
+        let k = Kernel.compile ty ~n and kb = Kernel.compile ty ~n:(n - 1) in
+        let s = Kernel.scratch k and sb = Kernel.scratch kb in
+        for u = 0 to ty.Objtype.num_values - 1 do
+          List.iter
+            (fun ms ->
+              let holds cond = entry_holds k s cond ~u ms in
+              let rec_holds = holds Kernel.Recording in
+              if rec_holds then
+                check_bool
+                  (Printf.sprintf "%s n=%d u=%d: recording entry implies discerning" label n u)
+                  true (holds Kernel.Discerning);
+              List.iter
+                (fun cond ->
+                  if holds cond then begin
+                    let open_slots = ref 0 in
+                    Array.iteri
+                      (fun j _ ->
+                        let sub =
+                          Array.init (n - 1) (fun j' -> ms.(if j' < j then j' else j' + 1))
+                        in
+                        if entry_holds kb sb cond ~u sub then incr open_slots)
+                      ms;
+                    check_bool
+                      (Printf.sprintf "%s n=%d u=%d %s: >= n - 1 holding sub-entries" label n u
+                         (cond_name cond))
+                      true (!open_slots >= n - 1);
+                    if tally && n = 4 && cond = Kernel.Recording && !open_slots = n - 1 then
+                      incr tight
+                  end)
+                [ Kernel.Discerning; Kernel.Recording ])
+            (sorted_multisets ~no n)
+        done)
+      ns
+  in
+  let small = { Synth.num_values = 2; num_rws = 2; num_responses = 2 } in
+  for i = 0 to Census.space_size small - 1 do
+    check_table (Printf.sprintf "{2,2,2} #%d" i)
+      (Synth.to_objtype (Census.genome_of_index small i))
+      [ 3; 4 ]
+  done;
+  let space = { Synth.num_values = 3; num_rws = 2; num_responses = 2 } in
+  let rng = Random.State.make [| 0x7197 |] in
+  for i = 0 to 299 do
+    check_table ~tally:true (Printf.sprintf "{3,2,2} draw %d" i)
+      (Synth.to_objtype (Synth.random_genome rng space))
+      [ 3; 4 ]
+  done;
+  check_bool "tight level-4 recording entries on {3,2,2}" true (!tight > 0)
+
+let test_exists_below_rejects () =
+  let ty = Gallery.test_and_set in
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  let k3 = Kernel.compile ty ~n:3 and k4 = Kernel.compile ty ~n:4 in
+  let s3 = Kernel.scratch k3 and s4 = Kernel.scratch k4 in
+  let k2 = Kernel.compile ty ~n:2 in
+  let s2 = Kernel.scratch k2 in
+  check_bool "below at n - 2 rejected" true
+    (raises (fun () -> Kernel.exists ~below:(k2, s2) k4 s4 Kernel.Discerning));
+  let k3' = Kernel.compile ty ~n:3 in
+  check_bool "below at n rejected" true
+    (raises (fun () -> Kernel.exists ~below:(k3', Kernel.scratch k3') k3 s3 Kernel.Recording));
+  let nv = ty.Objtype.num_values and nr = ty.Objtype.num_responses in
+  let r0, v0 = ty.Objtype.delta 0 0 in
+  let edit ~resp =
+    Objtype.make ~name:"edited" ~num_values:nv ~num_ops:ty.Objtype.num_ops ~num_responses:nr
+      (fun v o ->
+        if v = 0 && o = 0 then if resp then ((r0 + 1) mod nr, v0) else (r0, (v0 + 1) mod nv)
+        else ty.Objtype.delta v o)
+  in
+  List.iter
+    (fun resp ->
+      let kb = Kernel.compile (edit ~resp) ~n:2 in
+      check_bool
+        (Printf.sprintf "below with another %s table rejected" (if resp then "resp" else "next"))
+        true
+        (raises (fun () -> Kernel.exists ~below:(kb, Kernel.scratch kb) k3 s3 Kernel.Discerning)))
+    [ true; false ];
+  check_bool "the same table at n - 1 is accepted"
+    (Kernel.exists k3 (Kernel.scratch k3) Kernel.Discerning)
+    (Kernel.exists ~below:(k2, s2) k3 s3 Kernel.Discerning)
 
 let test_exists_recording_implies_discerning () =
   (* The same implication at the decision point: on seeded random types
@@ -1003,4 +1155,8 @@ let suite =
       test_census_recording_at_most_discerning;
     Alcotest.test_case "exists: recording implies discerning" `Quick
       test_exists_recording_implies_discerning;
+    Alcotest.test_case "ladder and rec => disc hold entry by entry" `Quick
+      test_ladder_entry_level;
+    Alcotest.test_case "exists ~below rejects a mismatched below" `Quick
+      test_exists_below_rejects;
   ]
