@@ -181,6 +181,9 @@ bench-e22: build
 # up as extra folds; decide.partitions_pruned counts entries answered
 # from the memo (a kept verdict or a valid fold) and is pinned beside it,
 # so that their sum, the entries visited, is pinned too.
+# kernel.masks_invalidated and kernel.masks_reused are pinned as well:
+# patch and unpatch must invalidate and restore exactly the entries the
+# edited cell requires, however the scratch stores and walks them.
 synth-smoke: build
 	mkdir -p $(SMOKE_DIR)
 	./_build/default/bin/rcn.exe synth --target 4 --values 3 --rws 2 --responses 2 \
@@ -192,7 +195,9 @@ synth-smoke: build
 	      --require-nonzero kernel.masks_invalidated \
 	      --require-eq synth.evals=292 --require-eq kernel.patches=1016 \
 	      --require-eq decide.kernel_evals=5203 \
-	      --require-eq decide.partitions_pruned=6241
+	      --require-eq decide.partitions_pruned=6241 \
+	      --require-eq kernel.masks_invalidated=8069 \
+	      --require-eq kernel.masks_reused=9205
 	rm -f $(SMOKE_DIR)/synth-smoke.out
 
 # Self-healing smoke, two halves (binaries invoked directly — see the

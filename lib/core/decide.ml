@@ -175,12 +175,6 @@ let search ?(naive = false) ?scheds ?obs ?(mode = Kernel.Trie) condition t ~n =
 let is_discerning t ~n = Option.is_some (search Discerning t ~n)
 let is_recording t ~n = Option.is_some (search Recording t ~n)
 
-(* The kernel-reuse decision point: same verdict as [is_discerning] /
-   [is_recording] on the kernel's current tables, but against a caller-owned
-   long-lived kernel + scratch — the synthesizer holds one per fitness level
-   across a whole climb and mutates it with [Kernel.patch] between calls. *)
-let holds ?below k s condition = Kernel.exists ?below k s condition
-
 let search_partitioned ?(clean = false) ?(mode = Kernel.Trie) condition t ~team =
   let n = Array.length team in
   if n < 2 then invalid_arg "Decide.search_partitioned: need n >= 2";

@@ -43,18 +43,9 @@ val search :
 
 val is_discerning : Objtype.t -> n:int -> bool
 val is_recording : Objtype.t -> n:int -> bool
-
-val holds : ?below:Kernel.t * Kernel.scratch -> Kernel.t -> Kernel.scratch -> condition -> bool
-(** Decide the condition against a caller-owned kernel and scratch —
-    [is_discerning] / [is_recording] without the per-call compile.  The
-    verdict is for the kernel's {e current} tables, so this is the
-    decision point for incremental synthesis: hold one kernel + scratch
-    per fitness level across a climb, mutate candidates with
-    [Kernel.patch] / [Kernel.unpatch] between calls, and the scratch's
-    delta-invalidated memo carries over.  Always the compiled kernel
-    ([Kernel.exists], which takes [below], the same table at [n - 1],
-    to prune the scan); the reference oracle is reached through
-    {!search}[ ~mode:Kernel.Reference]. *)
+(** Each compiles a kernel per call.  Against a caller-owned, long-lived
+    kernel and scratch (the census's per-[n] slots, the synthesizer's
+    patched fitness levels) decide with {!Kernel.exists} instead. *)
 
 val certificates :
   ?naive:bool ->

@@ -241,7 +241,7 @@ let compile ?obs (ty : Objtype.t) ~n =
         start := !start + p.block;
         p)
   in
-  let per_u = !start in
+  let per_u = !start and nms = multiset_count no n in
   let t_proc = Sched.Trie.proc trie and t_first = Sched.Trie.first trie in
   let k =
     {
@@ -260,7 +260,7 @@ let compile ?obs (ty : Objtype.t) ~n =
       parts;
       per_u;
       total = nv * per_u;
-      nms = multiset_count no n;
+      nms;
       obs = None;
       c_evals = None;
       c_pruned = None;
@@ -296,18 +296,9 @@ type entry = {
   mutable verdict : verdict;
 }
 
+(* The placeholder of a slot never evaluated: never valid, never
+   mutated. *)
 let dummy_entry = { masks = [||]; cells = [||]; valid = false; verdict = Unknown }
-
-(* The evaluation memo, keyed by [memo_code]: a plain int table (no
-   polymorphic hashing) that starts at the minimum bucket count, so a
-   one-shot scratch pays almost nothing for it and a reused one grows
-   only to the entries one decision actually made. *)
-module Memo = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash c = c land max_int
-end)
 
 type scratch = {
   value : int array; (* per trie node: folded final value; value.(0) = u *)
@@ -321,9 +312,13 @@ type scratch = {
   rho : int array; (* per process [p]: its slot in [cops], so [cops.(rho.(p)) = ops.(p)] *)
   ops0 : int array; (* T_0's sorted assignment (first size0 slots used) *)
   ops1 : int array; (* T_1's sorted assignment *)
-  memo : entry Memo.t; (* (u, cops, condition) -> entry *)
-  mutable entries : entry array; (* while [track]: [memo]'s entries, [0 .. n_entries - 1] *)
-  mutable n_entries : int;
+  rows : entry array array;
+      (* The evaluation table: row [cond * nv + u] (Recording is cond 0;
+         see [row_of]) holds in slot [r] the entry of initial value [u]
+         and the [r]-th sorted op multiset in lex order, [dummy_entry]
+         until first evaluated.  A row of [nms] slots is allocated at its
+         first evaluation ([lookup]), so a scratch pays only for the
+         (condition, u) rows it evaluates. *)
   cur_cells : int array; (* bitset buffer for the eval in progress *)
   cell_words : int; (* length of [cur_cells] *)
   mutable track : bool; (* record cells? on after the first patch *)
@@ -332,14 +327,9 @@ type scratch = {
       (* bumped by every invalidating event (patch, unpatch) and never
          rolled back — the guard telling an unpatch whether its window
          was quiet enough to restore snapshots (see [unpatch]) *)
-  mutable by_ms : entry array;
-      (* [exists]'s index of [memo]: slot [(cond * nv + u) * nms + r]
-         (Recording is cond 0) holds the entry of initial value [u] and
-         the [r]-th sorted op multiset in lex order, [dummy_entry] until
-         [exists] first meets it.  Allocated at the first [exists]. *)
   hint : int array;
-      (* [exists]'s last witnessing [by_ms] slot per condition
-         (Recording at 0, Discerning at 1), -1 when the last scan
+      (* [exists]'s last witnessing entry per condition (Recording at 0,
+         Discerning at 1) as [u * nms + r], -1 when the last scan
          refuted.  Always re-verified before being trusted, so staleness
          is harmless. *)
   mutable sub_rank : int array;
@@ -372,15 +362,12 @@ let scratch k =
     rho = Array.make k.n 0;
     ops0 = Array.make k.n 0;
     ops1 = Array.make k.n 0;
-    memo = Memo.create 16;
-    entries = [||];
-    n_entries = 0;
+    rows = Array.make (2 * k.nv) [||];
     cur_cells = Array.make (((k.nv * k.no) + 31) / 32) 0;
     cell_words = ((k.nv * k.no) + 31) / 32;
     track = false;
     patches_seen = 0;
     patch_events = 0;
-    by_ms = [||];
     hint = [| -1; -1 |];
     sub_rank = [||];
     n_evals = 0;
@@ -390,22 +377,22 @@ let scratch k =
     epoch = 0;
   }
 
-(* Memo key: the folded (sorted) ops array as a base-[no] number,
-   tagged with the condition (one scratch may serve both in [check]) and
-   the initial value — entries for every [u] coexist, so a patched
-   scratch never throws evaluations away wholesale. *)
-let memo_code k (s : scratch) cond ~u =
-  let c = ref (match cond with Recording -> 0 | Discerning -> 1) in
-  for i = k.n - 1 downto 0 do
-    c := (!c * k.no) + s.cops.(i)
-  done;
-  (!c * k.nv) + u
+(* The (condition, u) row's index in [s.rows]: entries for both
+   conditions and every [u] coexist, so a patched scratch never throws
+   evaluations away wholesale. *)
+let row_of k cond ~u = ((match cond with Recording -> 0 | Discerning -> 1) * k.nv) + u
+
+(* The entry of multiset rank [r] under (cond, u), [dummy_entry] when
+   its row is not allocated. *)
+let entry k s cond ~u r =
+  let row = s.rows.(row_of k cond ~u) in
+  if Array.length row = 0 then dummy_entry else row.(r)
 
 (* Process symmetry.  Renaming the processes by a permutation [rho]
    maps the at-most-once schedule set onto itself, so the candidate
    [(u, T_0/T_1, ops)] has the verdict of [(u, rho(T_0)/rho(T_1), cops)]
    with [cops.(rho.(p)) = ops.(p)].  Taking [cops] sorted makes every
-   arrangement of one op multiset fold the same trie once: the memo is
+   arrangement of one op multiset fold the same trie once: the table is
    keyed by [cops] and only the partition is renamed, at classification.
    Delta invalidation is unaffected: the renaming maps each arrangement's
    schedules onto the sorted fold's, step for step, so both read the
@@ -596,83 +583,57 @@ let flush k s =
   s.n_skipped <- 0;
   s.n_reused <- 0
 
-(* Append [e] to the scratch's entry vector, the list patches scan.  It
-   is filled at the first patch and kept only while tracking, so an
-   unpatched scratch (a census's) never pays for it. *)
-let push s e =
-  if s.n_entries = Array.length s.entries then begin
-    let grown = Array.make (max 16 (2 * s.n_entries)) dummy_entry in
-    Array.blit s.entries 0 grown 0 s.n_entries;
-    s.entries <- grown
-  end;
-  s.entries.(s.n_entries) <- e;
-  s.n_entries <- s.n_entries + 1
-
-(* A valid memoized evaluation answers without a fold. *)
-let hit s =
-  s.n_pruned <- s.n_pruned + 1;
-  if s.patches_seen > 0 then s.n_reused <- s.n_reused + 1
-
-(* Fold the trie over the current (u, cops): the masks, and the cells
-   the fold read while tracking. *)
-let fold k s cond ~u =
-  s.n_evals <- s.n_evals + 1;
-  if s.track then Array.fill s.cur_cells 0 s.cell_words 0;
-  let masks =
-    match cond with
-    | Recording ->
-        eval_rec_trie k s ~u;
-        Array.sub s.rec_mask 0 k.nv
-    | Discerning -> eval_disc_trie k s ~u
-  in
-  (masks, if s.track then Array.copy s.cur_cells else [||])
-
-(* Re-evaluate the invalidated [e] in place.  An edit that did not change
-   its masks leaves its verdict standing (verdicts depend only on the
-   masks; the read-cell set may still differ). *)
-let refresh k s cond ~u e =
-  let masks, cells = fold k s cond ~u in
-  if e.masks <> masks then begin
+(* The valid entry of multiset rank [r] under (cond, u), the multiset
+   itself in [s.cops]: a memo hit, or a fold of the trie over the
+   current (u, cops) recording the cells it reads while tracking.  The
+   slot's record is made at its first fold.  A fold that reproduces the
+   entry's masks keeps its verdict (verdicts depend only on the masks;
+   the read-cell set may still differ). *)
+let lookup k s cond ~u r =
+  let row_index = row_of k cond ~u in
+  if Array.length s.rows.(row_index) = 0 then
+    s.rows.(row_index) <- Array.make k.nms dummy_entry;
+  let row = s.rows.(row_index) in
+  if row.(r) == dummy_entry then
+    row.(r) <- { masks = [||]; cells = [||]; valid = false; verdict = Unknown };
+  let e = row.(r) in
+  if e.valid then begin
+    s.n_pruned <- s.n_pruned + 1;
+    if s.patches_seen > 0 then s.n_reused <- s.n_reused + 1
+  end
+  else begin
+    s.n_evals <- s.n_evals + 1;
+    if s.track then Array.fill s.cur_cells 0 s.cell_words 0;
+    let masks =
+      match cond with
+      | Recording ->
+          eval_rec_trie k s ~u;
+          Array.sub s.rec_mask 0 k.nv
+      | Discerning -> eval_disc_trie k s ~u
+    in
+    if e.verdict <> Unknown && e.masks <> masks then e.verdict <- Unknown;
     e.masks <- masks;
-    e.verdict <- Unknown
+    e.cells <- (if s.track then Array.copy s.cur_cells else [||]);
+    e.valid <- true
   end;
-  e.cells <- cells;
-  e.valid <- true
-
-(* The valid memo entry of the current (u, cops), folding on a miss. *)
-let lookup k s cond ~u =
-  let code = memo_code k s cond ~u in
-  match Memo.find_opt s.memo code with
-  | Some e when e.valid ->
-      hit s;
-      e
-  | Some e ->
-      refresh k s cond ~u e;
-      e
-  | None ->
-      let masks, cells = fold k s cond ~u in
-      let e = { masks; cells; valid = true; verdict = Unknown } in
-      Memo.add s.memo code e;
-      if s.track then push s e;
-      e
+  e
 
 (* Decide the candidate currently materialized in [s.ops] against
-   [part], evaluating or reusing the (u, cops) memo. *)
+   [part], evaluating or reusing the (u, cops) entry. *)
 let check_current k s cond ~u part =
   canonicalize k s;
-  let e = lookup k s cond ~u in
+  let e = lookup k s cond ~u (rank_sorted ~m:k.no ~k:k.n s.cops) in
   let t0 = rename s part.t0bits in
   classify k cond e.masks ~t0 ~t1:(((1 lsl k.n) - 1) lxor t0) ~u
 
 (* ------------------------------------------------------------------ *)
 (* Patching.  A patch rewrites one transition-table cell in place and
    invalidates exactly the memoized evaluations that read that cell, by
-   scanning the entry vector for valid entries whose [cells] has its
-   bit — O(memo entries) per patch, and exact: an entry is never
+   walking the allocated rows for valid entries whose [cells] has its
+   bit — O(allocated slots) per patch, and exact: an entry is never
    dropped for a cell it no longer reads.  The very first patch on a
    scratch has no cell metadata to consult (tracking was off), so it
-   fills the vector from the memo, invalidates all of it once and
-   switches tracking on.
+   invalidates every valid entry once and switches tracking on.
 
    Each entry a patch invalidates is first snapshotted (masks, read-cell
    bitset and verdict) into the patch token, which also records the
@@ -715,29 +676,26 @@ type patch = {
    when [c < 0]); returns how many, with their snapshots when [save]. *)
 let drop_readers s c ~save =
   let n = ref 0 and saved = ref [] in
-  for i = 0 to s.n_entries - 1 do
-    let e = s.entries.(i) in
-    if e.valid && (c < 0 || e.cells.(c lsr 5) land (1 lsl (c land 31)) <> 0) then begin
-      if save then saved := (e, e.masks, e.cells, e.verdict) :: !saved;
-      e.valid <- false;
-      incr n
-    end
+  for r = 0 to Array.length s.rows - 1 do
+    let row = s.rows.(r) in
+    for j = 0 to Array.length row - 1 do
+      let e = row.(j) in
+      if e.valid && (c < 0 || e.cells.(c lsr 5) land (1 lsl (c land 31)) <> 0) then begin
+        if save then saved := (e, e.masks, e.cells, e.verdict) :: !saved;
+        e.valid <- false;
+        incr n
+      end
+    done
   done;
   (!n, !saved)
 
 (* Snapshot and invalidate every valid reader of [c]; returns the
-   snapshots.  First patch on a scratch: entry vector filled, whole-memo
-   invalidation (no snapshots — nothing would restore them), tracking
-   on. *)
+   snapshots.  First patch on a scratch: every valid entry invalidated
+   (no snapshots — nothing would restore them), tracking on. *)
 let invalidate k s c =
-  let n, saved =
-    if s.track then drop_readers s c ~save:true
-    else begin
-      s.track <- true;
-      Memo.iter (fun _ e -> push s e) s.memo;
-      drop_readers s (-1) ~save:false
-    end
-  in
+  let first = not s.track in
+  s.track <- true;
+  let n, saved = drop_readers s (if first then -1 else c) ~save:(not first) in
   s.patches_seen <- s.patches_seen + 1;
   s.patch_events <- s.patch_events + 1;
   count_opt k.c_patches;
@@ -788,11 +746,11 @@ let unpatch k s { p_cell = c; p_resp; p_next; p_stamp; p_events; p_epoch; p_save
 (* Retargeting: the same compiled kernel and scratch, a new table of the
    same shape.  Everything shape-dependent (trie, partitions, ranks,
    buffer sizes) carries over; the tables are overwritten in place and
-   the scratch is put back in its freshly-made state — memo and its
-   [exists] index, entry vector, tracking, hints — at a cost bounded by
-   what the previous table's decisions used.  The patch clock is not
-   rolled back, and the epoch bump voids every outstanding patch
-   token. *)
+   the scratch is put back in its freshly-made state — the allocated
+   rows refilled with [dummy_entry] (and kept), tracking off, hints
+   reset — at a cost bounded by the rows the previous table's decisions
+   touched.  The patch clock is not rolled back, and the epoch bump
+   voids every outstanding patch token. *)
 
 let retarget ?obs k s (ty : Objtype.t) =
   if
@@ -809,13 +767,8 @@ let retarget ?obs k s (ty : Objtype.t) =
   | Some a, Some b when a == b -> ()
   | None, None -> ()
   | _ -> bind_counters k obs);
-  Memo.clear s.memo;
-  Array.fill s.by_ms 0 (Array.length s.by_ms) dummy_entry;
-  if s.track then begin
-    Array.fill s.entries 0 s.n_entries dummy_entry;
-    s.n_entries <- 0;
-    s.track <- false
-  end;
+  Array.iter (fun row -> Array.fill row 0 (Array.length row) dummy_entry) s.rows;
+  s.track <- false;
   s.patches_seen <- 0;
   s.hint.(0) <- -1;
   s.hint.(1) <- -1;
@@ -832,18 +785,15 @@ let to_objtype ?name k =
    [Decide.candidates] exactly: initial value major, then partitions in
    mask order, then T_0's sorted assignment, then T_1's. *)
 
-let fill_ops s part =
-  for j = 0 to part.size0 - 1 do
-    s.ops.(part.procs0.(j)) <- s.ops0.(j)
-  done;
-  for j = 0 to part.size1 - 1 do
-    s.ops.(part.procs1.(j)) <- s.ops1.(j)
+(* Hand a team's sorted assignment [sorted] to its members [procs]. *)
+let fill_team ops procs sorted =
+  for j = 0 to Array.length procs - 1 do
+    ops.(procs.(j)) <- sorted.(j)
   done
 
-let fill_ops1 s part =
-  for j = 0 to part.size1 - 1 do
-    s.ops.(part.procs1.(j)) <- s.ops1.(j)
-  done
+let fill_ops s part =
+  fill_team s.ops part.procs0 s.ops0;
+  fill_team s.ops part.procs1 s.ops1
 
 (* Index of the partition block holding offset [rem] of a value block. *)
 let part_index k rem =
@@ -862,12 +812,8 @@ let candidate k rank =
   unrank_sorted ~m:k.no ~k:part.size0 (i / part.count1) ops0;
   unrank_sorted ~m:k.no ~k:part.size1 (i mod part.count1) ops1;
   let ops = Array.make k.n 0 in
-  for j = 0 to part.size0 - 1 do
-    ops.(part.procs0.(j)) <- ops0.(j)
-  done;
-  for j = 0 to part.size1 - 1 do
-    ops.(part.procs1.(j)) <- ops1.(j)
-  done;
+  fill_team ops part.procs0 ops0;
+  fill_team ops part.procs1 ops1;
   (u, Array.copy part.team, ops)
 
 exception Stopped
@@ -897,7 +843,7 @@ let search_range k s cond ~lo ~hi ~stop =
              if check_current k s cond ~u:!u part then witness := Some !rank
              else begin
                incr rank;
-               if next_sorted s.ops1 part.size1 k.no then fill_ops1 s part
+               if next_sorted s.ops1 part.size1 k.no then fill_team s.ops part.procs1 s.ops1
                else if next_sorted s.ops0 part.size0 k.no then begin
                  Array.fill s.ops1 0 part.size1 0;
                  fill_ops s part
@@ -922,29 +868,13 @@ let search_range k s cond ~lo ~hi ~stop =
 
 (* Existence of a witness, any rank — decided over the quotient of the
    candidate space by process renaming: each (u, sorted op multiset) is
-   one [by_ms] slot, folded once through its memo entry, whose verdict
-   ([some_split_holds]) is kept on the entry.  A scan is then one
-   validity check per slot whose entry survived the patches since, and
-   the previous witnessing slot is re-verified first: a patch rarely
-   breaks it, so on the synthesizer's hot path ([Decide.holds]) an
-   existence query is usually one probe. *)
-let entry_holds k s cond ~u i =
-  let e = s.by_ms.(i) in
-  let e =
-    if e.valid then begin
-      hit s;
-      e
-    end
-    else if e != dummy_entry then begin
-      refresh k s cond ~u e;
-      e
-    end
-    else begin
-      let e = lookup k s cond ~u in
-      s.by_ms.(i) <- e;
-      e
-    end
-  in
+   one slot, folded once, whose verdict ([some_split_holds]) is kept on
+   its entry.  A scan is then one validity check per slot whose entry
+   survived the patches since, and the previous witnessing slot is
+   re-verified first: a patch rarely breaks it, so on the synthesizer's
+   hot path an existence query is usually one probe. *)
+let entry_holds k s cond ~u r =
+  let e = lookup k s cond ~u r in
   match e.verdict with
   | Holds -> true
   | Fails -> false
@@ -953,17 +883,14 @@ let entry_holds k s cond ~u i =
       e.verdict <- (if ok then Holds else Fails);
       ok
 
-let ensure_index k s =
-  if Array.length s.by_ms = 0 then s.by_ms <- Array.make (2 * k.nv * k.nms) dummy_entry
-
 (* Recording implies discerning candidate by candidate (a final value
    reached from one team only makes every triple holding it one-team),
-   so a recording slot whose discerning twin — the same slot in the
-   other half of [by_ms] — is valid and refuted fails too. *)
-let disc_refutes k s cond i =
+   so a recording entry whose discerning twin — the same (u, multiset)
+   under Discerning — is valid and refuted fails too. *)
+let disc_refutes k s cond ~u r =
   cond = Recording
   &&
-  let d = s.by_ms.(i + (k.nv * k.nms)) in
+  let d = entry k s Discerning ~u r in
   d.valid && d.verdict = Fails
 
 (* [s.sub_rank] for [k] (see the field). *)
@@ -995,7 +922,6 @@ let sub_ranks k =
    [r] is [M]'s lex rank, [M] itself is in [s.cops]. *)
 let rec ladder_open k s (kb, sb) cond ~u r =
   let n = k.n and cops = s.cops and sub = sb.cops in
-  let base = (((match cond with Recording -> 0 | Discerning -> 1) * kb.nv) + u) * kb.nms in
   let misses = ref 0 and j = ref 0 in
   while !misses <= 1 && !j < n do
     let o = cops.(!j) and stop = ref (!j + 1) in
@@ -1004,60 +930,57 @@ let rec ladder_open k s (kb, sb) cond ~u r =
     done;
     Array.blit cops 0 sub 0 !j;
     Array.blit cops (!j + 1) sub !j (n - 1 - !j);
-    if not (slot_holds kb sb cond ~u (base + s.sub_rank.((r * k.no) + o))) then
+    if not (slot_holds kb sb cond ~u s.sub_rank.((r * k.no) + o)) then
       misses := !misses + (!stop - !j);
     j := !stop
   done;
   !misses <= 1
 
-(* The verdict of [by_ms] slot [i], whose multiset is in [s.cops]: a
-   valid entry answers; otherwise the entry is passed without a fold
-   (counted as skipped) when its discerning twin or the ladder refutes
-   it, and decided by [entry_holds] when neither does. *)
-and slot_holds ?below k s cond ~u i =
-  if s.by_ms.(i).valid then entry_holds k s cond ~u i
+(* The verdict of multiset rank [r] under (cond, u), the multiset in
+   [s.cops]: a valid entry answers; otherwise the entry is passed
+   without a fold (counted as skipped) when its discerning twin or the
+   ladder refutes it, and decided by [entry_holds] when neither does. *)
+and slot_holds ?below k s cond ~u r =
+  if (entry k s cond ~u r).valid then entry_holds k s cond ~u r
   else if
-    disc_refutes k s cond i
-    || match below with Some b -> not (ladder_open k s b cond ~u (i mod k.nms)) | None -> false
+    disc_refutes k s cond ~u r
+    || match below with Some b -> not (ladder_open k s b cond ~u r) | None -> false
   then begin
     s.n_skipped <- s.n_skipped + 1;
     false
   end
-  else entry_holds k s cond ~u i
+  else entry_holds k s cond ~u r
 
 let exists ?below k s cond =
   (match below with
   | None -> ()
-  | Some (kb, sb) ->
+  | Some (kb, _) ->
       if kb.n <> k.n - 1 then
         invalid_arg
           (Printf.sprintf "Kernel.exists: below is compiled at n = %d, expected %d" kb.n (k.n - 1));
       if kb.next <> k.next || kb.resp <> k.resp then
         invalid_arg "Kernel.exists: below decides a different table";
-      ensure_index kb sb;
       if Array.length s.sub_rank = 0 then s.sub_rank <- sub_ranks k);
-  ensure_index k s;
   let slot = match cond with Recording -> 0 | Discerning -> 1 in
-  let base = slot * k.nv * k.nms in
   let hinted () =
     let h = s.hint.(slot) in
     h >= 0
     && begin
-         unrank_sorted ~m:k.no ~k:k.n ((h - base) mod k.nms) s.cops;
-         entry_holds k s cond ~u:((h - base) / k.nms) h
+         unrank_sorted ~m:k.no ~k:k.n (h mod k.nms) s.cops;
+         entry_holds k s cond ~u:(h / k.nms) (h mod k.nms)
        end
   in
-  (* Every (u, multiset) slot in order, multisets stepped in lex order
+  (* Every (u, multiset) entry in order, multisets stepped in lex order
      through [s.cops]. *)
   let scan () =
     let witness = ref (-1) and u = ref 0 in
     while !witness < 0 && !u < k.nv do
       Array.fill s.cops 0 k.n 0;
-      let i = ref (base + (!u * k.nms)) and more = ref true in
+      let r = ref 0 and more = ref true in
       while !witness < 0 && !more do
-        if slot_holds ?below k s cond ~u:!u !i then witness := !i
+        if slot_holds ?below k s cond ~u:!u !r then witness := (!u * k.nms) + !r
         else begin
-          incr i;
+          incr r;
           more := next_sorted s.cops k.n k.no
         end
       done;
@@ -1073,8 +996,8 @@ let exists ?below k s cond =
 
 (* ------------------------------------------------------------------ *)
 (* Single-candidate check, for the fixed-partition search: a throwaway
-   partition record (rank fields unused) and the scratch memo reused
-   across calls. *)
+   partition record (rank fields unused) and the scratch's entries
+   reused across calls. *)
 
 let check k s cond ~u ~team ~ops =
   if Array.length team <> k.n || Array.length ops <> k.n then

@@ -24,9 +24,9 @@
       onto itself, so a candidate [(u, T_0/T_1, ops)] has the verdict of
       [(u, rho(T_0)/rho(T_1), cops)], where [cops] is [ops]
       stable-sorted and [rho(p)] is process [p]'s slot in it.  The
-      kernel folds the trie over [cops] and caches the result
-      per [(condition, u, cops)] within a scratch, so every arrangement
-      of one op multiset shares one fold.  Each candidate is then
+      kernel folds the trie over [cops] and keeps the result in the
+      scratch's evaluation table, one slot per [(condition, u, cops)],
+      so every arrangement of one op multiset shares one fold.  Each candidate is then
       classified by a cheap pass over a few words, with its partition
       renamed through [rho]: per final value the first processes
       reaching it (recording), or per first process the first
@@ -58,7 +58,7 @@
     operations mutate a kernel's flat tables in place, and a kernel any
     of them has touched is paired with one scratch and confined to one
     domain — never share it, and never use a second scratch on it (the
-    other scratch's memo would silently describe the old tables):
+    other scratch's entries would silently describe the old tables):
     {!patch} / {!unpatch}, the synthesizer's one-cell warm-start edits,
     and {!retarget}, which swaps in a whole new table of the same shape
     so a census compiles one kernel and scratch per (domain, [n]) and
@@ -88,16 +88,17 @@ type t
 
 type scratch
 (** Per-worker mutable evaluation state: node value/response buffers,
-    the flat classification arrays, and the evaluation memo keyed by
-    [(condition, u, cops)] (the sorted op multiset).  Never share a
-    scratch between domains or between concurrent searches. *)
+    the flat classification arrays, and the evaluation table, one slot
+    per [(condition, u, cops)] (the sorted op multiset, by its lex
+    rank).  Every entry point reads and fills the same table.  Never
+    share a scratch between domains or between concurrent searches. *)
 
 val compile : ?obs:Obs.t -> Objtype.t -> n:int -> t
 (** Build the flat tables, fetch the memoized trie for [n], and rank the
     candidate space.  With [obs], resolves the kernel counters
     [decide.trie_nodes] (nodes of freshly built tries),
     [decide.kernel_evals] (trie folds, one per [(condition, u)] and
-    sorted op multiset the memo did not hold: a full scan of an
+    sorted op multiset the scratch did not hold: a full scan of an
     unpatched scratch makes at most [num_values * C(num_ops + n - 1, n)]
     per condition) and [decide.partitions_pruned] (visits answered from
     a memoized evaluation, skipping schedule replay entirely) in that
@@ -123,15 +124,17 @@ val candidate : t -> int -> Objtype.value * bool array * Objtype.op array
     to [Certificate.make]).  @raise Invalid_argument out of range. *)
 
 val scratch : t -> scratch
-(** A fresh scratch for [k].  Its evaluation memo starts at the minimum
-    bucket count and grows with use, so a one-shot scratch is cheap. *)
+(** A fresh scratch for [k].  Its evaluation table allocates a row of
+    [C(num_ops + n - 1, n)] slots per [(condition, u)] at the row's first
+    use, so a one-shot scratch pays only for the rows it evaluates. *)
 
 val retarget : ?obs:Obs.t -> t -> scratch -> Objtype.t -> unit
 (** [retarget ?obs k s ty] makes [k] decide [ty]: the flat tables are
     overwritten in place from [ty.delta], and [s] is reset to the state
-    of a fresh [scratch k] — evaluation memo, patch state (the entry
-    vector patches scan, cell tracking), the {!exists} index and hints
-    — in time bounded by what the previous table's decisions used.  The
+    of a fresh [scratch k] — evaluation table (its allocated rows are
+    kept and emptied), cell tracking and the {!exists}
+    hints — in time bounded by the rows the previous table's decisions
+    touched.  The
     kernel counters are rebound to [obs] (unbound when absent), exactly
     as [compile ?obs] would bind them.  Afterwards [k] and [s] answer
     every query, and count every counter, byte-identically to
@@ -163,11 +166,12 @@ val exists : ?below:t * scratch -> t -> scratch -> condition -> bool
     [(u, sorted op multiset)] entries instead of ranks: one fold per
     entry and one classification per team split of its multiset (up to
     swaps of same-op slots and of the two teams), the verdict kept on
-    the memo entry.  A re-scan answers each entry still valid with one
-    check, and the scratch remembers the last witnessing entry per
-    condition and re-verifies it first, so on a patched kernel whose
-    witness survived the edit this costs one probe.  The per-entry index
-    is allocated at the first call.
+    the entry.  The entries are the ones {!search_range} and {!check}
+    fill on the same scratch, so a multiset they folded is not folded
+    again.  A re-scan answers each entry still valid with one check, and
+    the scratch remembers the last witnessing entry per condition and
+    re-verifies it first, so on a patched kernel whose witness survived
+    the edit this costs one probe.
 
     Two rules pass an entry without folding it (counted in
     [decide.entries_skipped]; a visit is then a fold, a memo hit or a
@@ -181,11 +185,12 @@ val exists : ?below:t * scratch -> t -> scratch -> condition -> bool
       a sub-entry [(u, M - {o})] that holds on [below]: a witnessing
       split keeps witnessing when a process leaves a team of size at
       least 2, and at least [n - 1] processes sit on such a team.  The
-      sub-entries are decided through [below]'s own index and keep their
+      sub-entries are decided through [below]'s own table and keep their
       verdicts there; [below]'s counters count them.
     The answer is the same with or without [below].  The decision point
     of the census ([Engine.census_levels], with [below] from [n = 3]) and
-    of the incremental synthesizer ([Decide.holds], without).
+    of the incremental synthesizer ([Synth.search]'s warm fitness,
+    without).
     @raise Invalid_argument when [below] is not compiled at [n - 1] or
     its transition tables differ from [k]'s. *)
 
@@ -207,12 +212,12 @@ val check :
     The synthesizer's hill climb moves between transition tables that
     differ in one cell.  Instead of recompiling a kernel per candidate,
     {!patch} edits one cell of the live tables and {e delta-invalidates}
-    the scratch's evaluation memo: every memoized per-[(u, cops)] mask
+    the scratch's evaluation table: every memoized per-[(u, cops)] mask
     records (as a small bitset, while tracking is on) which table cells
-    its trie fold read, and a patch scans the scratch's vector of memo
-    entries and flips off exactly the valid ones whose bitset has the
-    edited cell — [O(memo entries)] bit tests, not a memo reset, and
-    never an entry that no longer reads the cell.  The {!exists}
+    its trie fold read, and a patch walks the scratch's allocated rows
+    and flips off exactly the valid entries whose bitset has the edited
+    cell — [O(allocated slots)] bit tests, not a table reset, and never
+    an entry that no longer reads the cell.  The {!exists}
     verdicts kept on the entries ride on the same validity bits.
     {!unpatch} restores the previous entries (masks and verdicts) from
     the returned token, so a rejected mutation costs two cell writes
@@ -223,7 +228,7 @@ val check :
     that token to plain invalidation, still correct, just re-evaluating
     on demand.
 
-    The first patch on a scratch invalidates its whole memo once (cells
+    The first patch on a scratch invalidates every entry once (cells
     were not yet being tracked) and switches tracking on.
 
     Correctness contract, pinned by the qcheck differential suite: after
@@ -238,7 +243,7 @@ val patch :
   t -> scratch -> cell:Objtype.value * Objtype.op -> entry:Objtype.response * Objtype.value -> patch
 (** [patch k s ~cell:(v, op) ~entry:(r, v')] makes [delta v op = (r, v')]
     in the compiled tables and invalidates the affected evaluations in
-    [s]'s memo.  With [obs] (at {!compile}) counts [kernel.patches] and
+    [s]'s table.  With [obs] (at {!compile}) counts [kernel.patches] and
     [kernel.masks_invalidated]; memo hits that survive a patch count as
     [kernel.masks_reused].  @raise Invalid_argument out of range. *)
 

@@ -455,7 +455,7 @@ let census_levels ?obs cache ~kernel ~cap ty =
             Some (b.k, b.s)
           else None
         in
-        Decide.holds ?below sl.k sl.s condition
+        Kernel.exists ?below sl.k sl.s condition
       in
       let d = climb (holds Decide.Discerning) ~top:cap 2 in
       (d, climb (holds Decide.Recording) ~top:d 2)

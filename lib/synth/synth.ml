@@ -300,7 +300,7 @@ let search ?(seed = 0) ?(max_iterations = default_max_iterations)
     let w = match !warm with Some w -> w | None -> assert false in
     let holds i cond =
       ensure i;
-      Decide.holds w.levels.(i).lk w.levels.(i).ls cond
+      Kernel.exists w.levels.(i).lk w.levels.(i).ls cond
     in
     let score = ref 0 in
     let pass w cond = if cond then score := !score + w in

@@ -589,7 +589,10 @@ let test_kernel_folds_per_multiset () =
   (* The kernel folds the trie once per (initial value, sorted op
      multiset): a scan that refutes the condition visits every candidate,
      and every multiset of [n] ops occurs among them, so it folds exactly
-     [nv * C(no + n - 1, n)] times — not once per arrangement. *)
+     [nv * C(no + n - 1, n)] times — not once per arrangement.  The rank
+     scan and [exists] share one evaluation table: an [exists] on the same
+     scratch afterwards refutes too, folding nothing and answering every
+     entry from the table. *)
   let space = { Synth.num_values = 4; num_rws = 2; num_responses = 2 } in
   let binomial a b =
     let acc = ref 1 in
@@ -609,19 +612,24 @@ let test_kernel_folds_per_multiset () =
             let obs = Obs.create () in
             let k = Kernel.compile ~obs ty ~n in
             let s = Kernel.scratch k in
+            let count name = Obs.Metrics.Counter.value (Obs.counter obs name) in
+            let evals () = count "decide.kernel_evals" and pruned () = count "decide.partitions_pruned" in
             match Kernel.search_range k s cond ~lo:0 ~hi:(Kernel.total k) ~stop:(fun _ -> false) with
             | Some _, _ -> ()
             | None, checked ->
                 refuted.(n) <- refuted.(n) + 1;
-                let evals = Obs.Metrics.Counter.value (Obs.counter obs "decide.kernel_evals") in
-                let pruned =
-                  Obs.Metrics.Counter.value (Obs.counter obs "decide.partitions_pruned")
-                in
+                let evals0 = evals () and pruned0 = pruned () in
                 let multisets = binomial (no + n - 1) n in
                 let label = Printf.sprintf "seed %d n=%d" seed n in
-                check_int (label ^ ": one fold per (u, multiset)") (nv * multisets) evals;
-                check_int (label ^ ": every candidate classified") (Kernel.total k) (evals + pruned);
-                check_int (label ^ ": full scan") (Kernel.total k) checked)
+                check_int (label ^ ": one fold per (u, multiset)") (nv * multisets) evals0;
+                check_int (label ^ ": every candidate classified") (Kernel.total k)
+                  (evals0 + pruned0);
+                check_int (label ^ ": full scan") (Kernel.total k) checked;
+                check_bool (label ^ ": exists refutes too") false (Kernel.exists k s cond);
+                check_int (label ^ ": exists folds nothing") evals0 (evals ());
+                check_int (label ^ ": exists hits every entry")
+                  (pruned0 + (nv * multisets))
+                  (pruned ()))
           [ Kernel.Discerning; Kernel.Recording ])
       [ 2; 3; 4 ]
   done;
