@@ -25,17 +25,20 @@ check: build test inject-smoke stats-smoke soak-smoke serve-smoke dist-smoke syn
 # JSON stats block's shape — in particular the cache accounting invariant
 # hits + misses + expired = probes — with the dependency-free checker.
 # Then pin the kernel counters of a fixed {2,2,2} cap-4 census at one and
-# at two jobs: the census reuses one kernel per (domain, process count),
-# retargeted per table, and every count must land in the run's registry
-# exactly as a fresh compile per table would put it there.  A seeded
-# 500-table sample of {3,2,2} runs the same engine sweep and is pinned
-# the same way.
+# at two jobs: the census reuses one kernel per (domain, process count)
+# and steps it from table to table along a chain that starts at the
+# first rank of each 32-rank pool chunk (retargeted, as a fresh compile,
+# at the chain's first table; afterwards only the entries that read a
+# changed cell are refolded), so every count depends on the chunk layout
+# alone and must be equal at both job counts.  A seeded 500-table sample
+# of {3,2,2} runs the same engine sweep and is pinned the same way.
 # A census decides through Kernel.exists, which walks (initial value,
 # sorted op multiset) entries, and counts each entry it visits once:
 # decide.kernel_evals if folded, decide.partitions_pruned if answered
-# from the memo, decide.entries_skipped if passed without either.  Each
-# table climbs one ladder: the per-n kernel is retargeted once per table
-# and serves both conditions, rung n >= 3 decides with the n - 1 kernel
+# from the memo (this table's folds or the ones a step kept),
+# decide.entries_skipped if passed without either.  Each table climbs
+# one ladder: the per-n kernel is brought to the table once and serves
+# both conditions, rung n >= 3 decides with the n - 1 kernel
 # as `below` (an entry is folded only if its sub-multisets leave it
 # open; the sub-entries are decided there, lazily, and revisits hit its
 # memo), and a recording entry whose discerning entry was refuted is
@@ -55,16 +58,16 @@ stats-smoke: build
 	    --jobs $$jobs --stats json \
 	    | tee $(SMOKE_DIR)/stats-smoke-census-$$jobs.out \
 	    | ./_build/default/tools/stats_check.exe --require-eq census.tables=256 \
-	        --require-eq decide.kernel_evals=3728 \
-	        --require-eq decide.partitions_pruned=3152 \
+	        --require-eq decide.kernel_evals=1772 \
+	        --require-eq decide.partitions_pruned=4830 \
 	        --require-eq decide.entries_skipped=4336 || exit 1; \
 	  ./_build/default/bin/rcn.exe census --values 3 --rws 2 --responses 2 --cap 4 \
 	    --sample 500 --seed 42 --jobs $$jobs --stats json \
 	    | tee $(SMOKE_DIR)/stats-smoke-sample-$$jobs.out \
 	    | ./_build/default/tools/stats_check.exe --require-eq census.tables=500 \
-	        --require-eq decide.kernel_evals=12359 \
-	        --require-eq decide.partitions_pruned=13524 \
-	        --require-eq decide.entries_skipped=20303 || exit 1; \
+	        --require-eq decide.kernel_evals=10503 \
+	        --require-eq decide.partitions_pruned=15594 \
+	        --require-eq decide.entries_skipped=19236 || exit 1; \
 	done
 	./_build/default/bin/rcn.exe census --values 2 --rws 2 --responses 2 --cap 4 \
 	  --jobs 1 --kernel off > $(SMOKE_DIR)/stats-smoke-census-off.out

@@ -70,6 +70,23 @@ let rank_sorted ~m ~k buf =
   done;
   !rank
 
+(* The same rank as [k] table reads: [rank_sorted ~m ~k buf] is
+   [Σ_pos steps.(pos * m + buf.(pos))] over [steps = rank_steps ~m ~k].
+   With [P(pos, v)] the sum of [multiset_count (m - o) (k - pos - 1)]
+   over [o < v], [rank_sorted] adds [P(pos, buf.(pos)) - P(pos, buf.(pos
+   - 1))] at each [pos] (the first term alone at [pos = 0]); grouping the
+   terms by the slot they read gives [steps(pos, v) = P(pos, v) - P(pos +
+   1, v)], with [P(k, _) = 0].  [p] holds [P] row by row, each row a
+   running sum. *)
+let rank_steps ~m ~k =
+  let p = Array.make ((k + 1) * m) 0 in
+  for pos = 0 to k - 1 do
+    for v = 1 to m - 1 do
+      p.((pos * m) + v) <- p.((pos * m) + v - 1) + multiset_count (m - v + 1) (k - pos - 1)
+    done
+  done;
+  Array.init (k * m) (fun i -> p.(i) - p.(i + m))
+
 (* Step [buf.(0 .. k-1)] to its lex successor in place; [false] on wrap
    (the last sequence, all [m-1]).  Successor: bump the rightmost slot
    below [m-1] and level everything to its right at the new value. *)
@@ -181,6 +198,7 @@ type t = {
   per_u : int;
   total : int;
   nms : int; (* sorted op multisets of size [n]: C(no + n - 1, n) *)
+  rank_step : int array; (* [rank_steps ~m:no ~k:n] *)
   (* The counters live in the context the kernel was compiled (or last
      retargeted) with: [obs] is that context, compared physically so a
      retarget under the same context skips the registry lookups. *)
@@ -261,6 +279,7 @@ let compile ?obs (ty : Objtype.t) ~n =
       per_u;
       total = nv * per_u;
       nms;
+      rank_step = rank_steps ~m:no ~k:n;
       obs = None;
       c_evals = None;
       c_pruned = None;
@@ -288,7 +307,8 @@ type verdict = Unknown | Holds | Fails
    delta-invalidation metadata — [cells] is a bitset over the [nv * no]
    transition-table cells the trie fold read to produce [masks],
    recorded while [track] is on.  [patch] flips [valid] off for every
-   entry whose [cells] has the edited bit. *)
+   entry whose [cells] has the edited bit, [step] for every entry whose
+   [cells] meet the changed ones. *)
 type entry = {
   mutable masks : int array;
   mutable cells : int array; (* bitset: cell [c] at word [c lsr 5], bit [c land 31] *)
@@ -321,7 +341,7 @@ type scratch = {
          (condition, u) rows it evaluates. *)
   cur_cells : int array; (* bitset buffer for the eval in progress *)
   cell_words : int; (* length of [cur_cells] *)
-  mutable track : bool; (* record cells? on after the first patch *)
+  mutable track : bool; (* record cells? on after the first patch or step *)
   mutable patches_seen : int;
   mutable patch_events : int;
       (* bumped by every invalidating event (patch, unpatch) and never
@@ -345,7 +365,7 @@ type scratch = {
   mutable n_pruned : int;
   mutable n_skipped : int;
   mutable n_reused : int;
-  mutable epoch : int; (* bumped by [retarget]; patch tokens carry it *)
+  mutable epoch : int; (* bumped by [retarget] and [step]; patch tokens carry it *)
 }
 
 let scratch k =
@@ -618,11 +638,19 @@ let lookup k s cond ~u r =
   end;
   e
 
+(* The lex rank of the sorted multiset in [s.cops]. *)
+let cops_rank k s =
+  let r = ref 0 in
+  for pos = 0 to k.n - 1 do
+    r := !r + k.rank_step.((pos * k.no) + s.cops.(pos))
+  done;
+  !r
+
 (* Decide the candidate currently materialized in [s.ops] against
    [part], evaluating or reusing the (u, cops) entry. *)
 let check_current k s cond ~u part =
   canonicalize k s;
-  let e = lookup k s cond ~u (rank_sorted ~m:k.no ~k:k.n s.cops) in
+  let e = lookup k s cond ~u (cops_rank k s) in
   let t0 = rename s part.t0bits in
   classify k cond e.masks ~t0 ~t1:(((1 lsl k.n) - 1) lxor t0) ~u
 
@@ -717,7 +745,7 @@ let patch k s ~cell:(v, o) ~entry:(r, v') =
   { p_cell = c; p_resp; p_next; p_stamp; p_events; p_epoch = s.epoch; p_saved }
 
 let unpatch k s { p_cell = c; p_resp; p_next; p_stamp; p_events; p_epoch; p_saved } =
-  if p_epoch <> s.epoch then invalid_arg "Kernel.unpatch: token predates a retarget";
+  if p_epoch <> s.epoch then invalid_arg "Kernel.unpatch: token predates a retarget or step";
   k.resp.(c) <- p_resp;
   k.next.(c) <- p_next;
   if s.track && s.patch_events = p_events + 1 then begin
@@ -743,35 +771,81 @@ let unpatch k s { p_cell = c; p_resp; p_next; p_stamp; p_events; p_epoch; p_save
   else ignore (invalidate k s c)
 
 (* ------------------------------------------------------------------ *)
-(* Retargeting: the same compiled kernel and scratch, a new table of the
-   same shape.  Everything shape-dependent (trie, partitions, ranks,
-   buffer sizes) carries over; the tables are overwritten in place and
-   the scratch is put back in its freshly-made state — the allocated
-   rows refilled with [dummy_entry] (and kept), tracking off, hints
-   reset — at a cost bounded by the rows the previous table's decisions
-   touched.  The patch clock is not rolled back, and the epoch bump
+(* Retargeting and stepping: the same compiled kernel and scratch, a new
+   table of the same shape.  Everything shape-dependent (trie,
+   partitions, ranks, buffer sizes) carries over; the tables are
+   overwritten in place.  The patch clock restarts, and the epoch bump
    voids every outstanding patch token. *)
 
-let retarget ?obs k s (ty : Objtype.t) =
+(* The part both share: check the shape, flush the tallies into the
+   old counters and bind the new ones. *)
+let rebind ?obs fn k s (ty : Objtype.t) =
   if
     ty.Objtype.num_values <> k.nv || ty.Objtype.num_ops <> k.no
     || ty.Objtype.num_responses <> k.nr
   then
     invalid_arg
-      (Printf.sprintf "Kernel.retarget: shape %dx%dx%d, kernel compiled for %dx%dx%d"
+      (Printf.sprintf "Kernel.%s: shape %dx%dx%d, kernel compiled for %dx%dx%d" fn
          ty.Objtype.num_values ty.Objtype.num_ops ty.Objtype.num_responses k.nv k.no k.nr);
-  fill_tables ty ~no:k.no k.next k.resp;
   k.ty <- ty;
   flush k s;
-  (match (k.obs, obs) with
+  match (k.obs, obs) with
   | Some a, Some b when a == b -> ()
   | None, None -> ()
-  | _ -> bind_counters k obs);
+  | _ -> bind_counters k obs
+
+(* Retarget puts the scratch back in its freshly-made state — the
+   allocated rows refilled with [dummy_entry] (and kept), tracking off,
+   hints reset — at a cost bounded by the rows the previous table's
+   decisions touched. *)
+let retarget ?obs k s ty =
+  rebind ?obs "retarget" k s ty;
+  fill_tables ty ~no:k.no k.next k.resp;
   Array.iter (fun row -> Array.fill row 0 (Array.length row) dummy_entry) s.rows;
   s.track <- false;
   s.patches_seen <- 0;
   s.hint.(0) <- -1;
   s.hint.(1) <- -1;
+  s.epoch <- s.epoch + 1
+
+(* Step keeps every entry the new table cannot change.  A valid entry's
+   [cells] are the cells its fold read, so a fold on a table that agrees
+   with the old one on those cells reads the same cells in the same
+   order and yields the same masks — and the verdict is a function of
+   the masks.  One pass over the allocated rows drops the valid entries
+   whose [cells] meet the changed cells, as [patch] does for one cell;
+   an untracked scratch has no [cells] to consult, so its first step
+   drops every entry and switches tracking on (the first-patch rule).
+   The hints stay: [exists] re-verifies them before trusting them. *)
+let step ?obs k s ty =
+  rebind ?obs "step" k s ty;
+  let changed = Array.make s.cell_words 0 in
+  for v = 0 to k.nv - 1 do
+    for o = 0 to k.no - 1 do
+      let r, v' = ty.Objtype.delta v o and c = (v * k.no) + o in
+      if k.resp.(c) <> r || k.next.(c) <> v' then begin
+        k.resp.(c) <- r;
+        k.next.(c) <- v';
+        changed.(c lsr 5) <- changed.(c lsr 5) lor (1 lsl (c land 31))
+      end
+    done
+  done;
+  if not s.track then begin
+    ignore (drop_readers s (-1) ~save:false);
+    s.track <- true
+  end
+  else if Array.exists (fun w -> w <> 0) changed then
+    Array.iter
+      (Array.iter (fun e ->
+           if e.valid then begin
+             let w = ref 0 in
+             while !w < s.cell_words && e.cells.(!w) land changed.(!w) = 0 do
+               incr w
+             done;
+             if !w < s.cell_words then e.valid <- false
+           end))
+      s.rows;
+  s.patches_seen <- 0;
   s.epoch <- s.epoch + 1
 
 let to_objtype ?name k =
@@ -1006,3 +1080,36 @@ let check k s cond ~u ~team ~ops =
   let ok = check_current k s cond ~u (make_part ~no:k.no ~start:0 team) in
   flush k s;
   ok
+
+(* ------------------------------------------------------------------ *)
+(* Audit: refold every valid entry on a fresh scratch of the current
+   tables and compare. *)
+
+let stale_entries k s =
+  let t = scratch k in
+  t.track <- s.track;
+  let stale = ref 0 in
+  Array.iteri
+    (fun ri row ->
+      let cond = if ri < k.nv then Recording else Discerning and u = ri mod k.nv in
+      Array.iteri
+        (fun r e ->
+          if e.valid then begin
+            unrank_sorted ~m:k.no ~k:k.n r t.cops;
+            Array.fill t.cur_cells 0 t.cell_words 0;
+            let masks =
+              match cond with
+              | Recording ->
+                  eval_rec_trie k t ~u;
+                  Array.sub t.rec_mask 0 k.nv
+              | Discerning -> eval_disc_trie k t ~u
+            in
+            if
+              masks <> e.masks
+              || (s.track && e.cells <> t.cur_cells)
+              || (e.verdict <> Unknown && (e.verdict = Holds) <> some_split_holds k t cond masks ~u)
+            then incr stale
+          end)
+        row)
+    s.rows;
+  !stale

@@ -54,15 +54,16 @@
 
     Ownership.  A compiled {!t} that is only searched is safe to share
     across domains, each worker with its own {!scratch}; the kernel's
-    counters are bumped from per-scratch tallies, once per call.  Three
+    counters are bumped from per-scratch tallies, once per call.  Four
     operations mutate a kernel's flat tables in place, and a kernel any
     of them has touched is paired with one scratch and confined to one
     domain — never share it, and never use a second scratch on it (the
     other scratch's entries would silently describe the old tables):
     {!patch} / {!unpatch}, the synthesizer's one-cell warm-start edits,
-    and {!retarget}, which swaps in a whole new table of the same shape
+    {!retarget}, which swaps in a whole new table of the same shape
     so a census compiles one kernel and scratch per (domain, [n]) and
-    reuses them for every table it decides. *)
+    reuses them for every table it decides, and {!step}, which does the
+    same but keeps the evaluations the new table cannot change. *)
 
 type condition = Discerning | Recording
 (** Re-exported by [Decide]; defined here so the kernel does not depend
@@ -140,9 +141,49 @@ val retarget : ?obs:Obs.t -> t -> scratch -> Objtype.t -> unit
     every query, and count every counter, byte-identically to
     [compile ?obs ty ~n] with a fresh scratch; {!to_objtype}'s default
     name becomes [ty]'s.  Patch tokens taken before the retarget are
-    void ({!unpatch} rejects them).
+    void ({!unpatch} rejects them).  {!step} is the variant that keeps
+    evaluations; a retarget is the fresh start of a census chain.
     @raise Invalid_argument when [ty]'s [(num_values, num_ops,
     num_responses)] differ from the compiled type's. *)
+
+val step : ?obs:Obs.t -> t -> scratch -> Objtype.t -> unit
+(** [step ?obs k s ty] makes [k] decide [ty] like {!retarget}, but
+    keeps every evaluation [ty] cannot change: the flat tables are
+    overwritten from [ty.delta], and one pass over [s]'s allocated rows
+    invalidates exactly the valid entries whose read-cell set meets the
+    cells where [ty] differs from the tables [k] held (the delta
+    invalidation of {!patch}, for many cells at once).  A kept entry
+    keeps its masks and its {!exists} verdict: a fold that reads no
+    changed cell gives the same masks, and the verdict is a function of
+    the masks.  If [s] was not tracking cells (a fresh or {!retarget}ed
+    scratch), the step instead invalidates every entry and switches
+    tracking on — the first-patch rule.  Counters are rebound as
+    {!retarget} rebinds them, the {!exists} hints are kept (they are
+    re-verified before use), and patch tokens taken before the step are
+    void.  Afterwards [k] and [s] answer every query byte-identically
+    to [compile ty ~n] with a fresh scratch; the counts differ, since a
+    kept entry is a memo hit where a fresh compile folds.  A census
+    steps its per-[n] kernels from table to table
+    ([Engine.census_levels ~chain]).
+    @raise Invalid_argument when [ty]'s shape differs from the compiled
+    type's. *)
+
+val stale_entries : t -> scratch -> int
+(** The number of valid entries of [s]'s evaluation table that a fresh
+    fold of [k]'s current tables contradicts: other masks, another
+    read-cell set (while [s] tracks cells), or a kept {!exists} verdict
+    the masks do not give.  [0] is the invariant every operation keeps;
+    the differential tests assert it.  Folds every valid entry once. *)
+
+val rank_sorted : m:int -> k:int -> int array -> int
+(** The lex rank of the nondecreasing [buf.(0 .. k-1)] over
+    [0 .. m-1] among all such sequences, by counting. *)
+
+val rank_steps : m:int -> k:int -> int array
+(** A table of [k * m] rank steps such that [rank_sorted ~m ~k buf] is
+    the sum of [steps.(pos * m + buf.(pos))] over [pos < k]: [k] array
+    reads per rank.  Each compiled kernel holds the one for its [n]
+    ([num_ops], [n]) and ranks every candidate's sorted ops with it. *)
 
 val search_range :
   t ->
@@ -249,8 +290,8 @@ val patch :
 
 val unpatch : t -> scratch -> patch -> unit
 (** Restore the cell a {!patch} call rewrote (same invalidation cost).
-    @raise Invalid_argument when [s] has been {!retarget}ed since the
-    token was taken. *)
+    @raise Invalid_argument when [s] has been {!retarget}ed or
+    {!step}ped since the token was taken. *)
 
 val to_objtype : ?name:string -> t -> Objtype.t
 (** The type the kernel's {e current} tables decide — after patches, the

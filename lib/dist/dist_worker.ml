@@ -48,9 +48,10 @@ let run ?obs ?(stride = 32) ?(throttle_us = 0) ?(crash_after = 0)
      exactly the sym sweep of [Engine.census]. *)
   let rs = Engine.census_ranks ~sym:config.Api.Config.sym space in
   let tables = Atomic.make 0 in
-  let decide rank =
+  let decide chain rank =
     let levels =
-      Engine.census_levels ?obs cache ~kernel ~cap (Synth.to_objtype (rs.Engine.genome rank))
+      Engine.census_levels ?obs ~chain cache ~kernel ~cap
+        (Synth.to_objtype (rs.Engine.genome rank))
     in
     if throttle_us > 0 then
       Obs.Clock.sleep (float_of_int throttle_us /. 1_000_000.);
@@ -89,9 +90,10 @@ let run ?obs ?(stride = 32) ?(throttle_us = 0) ?(crash_after = 0)
         let base = !cur in
         let next = min (base + stride) !stop in
         let batch = Array.make (next - base) (0, 0) in
+        let chain = Engine.census_chain () in
         Pool.parallel_for pool ~chunk:4 (next - base) (fun a b ->
             for k = a to b - 1 do
-              batch.(k) <- decide (base + k)
+              batch.(k) <- decide chain (base + k)
             done);
         Array.iteri
           (fun k lv -> bump lv (rs.Engine.weight ~lo:(base + k) ~hi:(base + k + 1)))

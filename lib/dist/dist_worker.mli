@@ -8,7 +8,9 @@
     (warming the same per-process-count state as [Engine.census], so
     decided levels are independent of which worker decides a table; the
     compiled path climbs the same pruned ladder, [Kernel.exists ~below]
-    the [n - 1] kernel at each rung [n >= 3]),
+    the [n - 1] kernel at each rung [n >= 3], and starts a census chain
+    at each batch: each domain's kernels are retargeted at the first
+    table of a batch they decide and {!Kernel.step}ped after that),
     heartbeat [Progress] between batches, obey [Truncate] steals, and
     report the range's histogram as [Result].
 

@@ -388,29 +388,47 @@ let analyze_all ?cache ?obs ?supervisor ~(config : Api.Config.t) pool types =
     types
 
 (* Per-domain census kernels: slot [n] holds one kernel and scratch
-   compiled for process count [n], retargeted to every table this domain
+   compiled for process count [n], carried to every table this domain
    decides at that [n] (recompiled only when a table's shape differs).
    Slots are domain-local, so a kernel is only ever touched by the
-   domain that owns it — the confinement [Kernel.retarget] asks for —
-   provided no two systhreads of that domain decide at once (see the
-   interface). *)
-type census_slot = { shape : int * int * int; k : Kernel.t; s : Kernel.scratch }
+   domain that owns it — the confinement [Kernel.retarget] and
+   [Kernel.step] ask for — provided no two systhreads of that domain
+   decide at once (see the interface).  A slot remembers the chain it
+   last decided in: within that chain it steps to the next table,
+   keeping what the table delta spares; the first time a chain uses it,
+   it is retargeted, so what a chain counts depends only on its own
+   tables. *)
+type census_slot = {
+  shape : int * int * int;
+  k : Kernel.t;
+  s : Kernel.scratch;
+  mutable chain : int; (* 0: in no chain *)
+}
+
+type chain = int
+
+let chains = Atomic.make 0
+let census_chain () = 1 + Atomic.fetch_and_add chains 1
 
 let census_slots : census_slot option array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
-let census_kernel ?obs (ty : Objtype.t) ~n =
+let census_kernel ?obs ?(chain = 0) (ty : Objtype.t) ~n =
   let slots = Domain.DLS.get census_slots in
   if Array.length !slots <= n then
     slots := Array.init (n + 1) (fun i -> if i < Array.length !slots then !slots.(i) else None);
   let shape = (ty.Objtype.num_values, ty.Objtype.num_ops, ty.Objtype.num_responses) in
   match !slots.(n) with
   | Some slot when slot.shape = shape ->
-      Kernel.retarget ?obs slot.k slot.s ty;
+      if chain <> 0 && slot.chain = chain then Kernel.step ?obs slot.k slot.s ty
+      else begin
+        Kernel.retarget ?obs slot.k slot.s ty;
+        slot.chain <- chain
+      end;
       slot
   | _ ->
       let k = Kernel.compile ?obs ty ~n in
-      let slot = { shape; k; s = Kernel.scratch k } in
+      let slot = { shape; k; s = Kernel.scratch k; chain } in
       !slots.(n) <- Some slot;
       slot
 
@@ -426,7 +444,7 @@ let census_kernel ?obs (ty : Objtype.t) ~n =
    discerning), on the scratches that keep the discerning verdicts.
    Per-type outcomes are not cached: census tables are pairwise
    distinct, so an outcome memo would only grow. *)
-let census_levels ?obs cache ~kernel ~cap ty =
+let census_levels ?obs ?chain cache ~kernel ~cap ty =
   let rec climb holds ~top n =
     if n > top then top else if holds n then climb holds ~top (n + 1) else n - 1
   in
@@ -443,7 +461,7 @@ let census_levels ?obs cache ~kernel ~cap ty =
         match slots.(n) with
         | Some sl -> sl
         | None ->
-            let sl = census_kernel ?obs ty ~n in
+            let sl = census_kernel ?obs ?chain ty ~n in
             slots.(n) <- Some sl;
             sl
       in
@@ -659,12 +677,14 @@ let census ?cache ?obs ?supervisor ?sample ?checkpoint ?(resume = false)
            ~should_stop:(fun () -> expired deadline || wd_stop ())
            ranks
            (fun lo hi ->
+             let chain = census_chain () in
              let fresh = ref 0 and fresh_weight = ref 0 in
              let i = ref lo in
              while !i < hi && not (expired deadline) do
                if Bytes.get covered !i = '\000' then begin
                  set_levels levels !i
-                   (census_levels ?obs cache ~kernel ~cap (Synth.to_objtype (rs.genome !i)));
+                   (census_levels ?obs ~chain cache ~kernel ~cap
+                      (Synth.to_objtype (rs.genome !i)));
                  Bytes.set covered !i '\003';
                  incr fresh;
                  fresh_weight := !fresh_weight + weight !i

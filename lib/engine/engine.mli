@@ -225,19 +225,33 @@ val analyze_all :
     [At_least] records for the remaining types rather than abandoning
     them. *)
 
+type chain
+(** A census chain: a run of tables one domain decides in order, each
+    per-[n] kernel carried from table to table by {!Kernel.step}. *)
+
+val census_chain : unit -> chain
+(** A new chain, distinct from every other. *)
+
 val census_levels :
-  ?obs:Obs.t -> Cache.t -> kernel:Kernel.mode -> cap:int -> Objtype.t -> int * int
+  ?obs:Obs.t -> ?chain:chain -> Cache.t -> kernel:Kernel.mode -> cap:int -> Objtype.t -> int * int
 (** One census table's truncated [(discerning, recording)] levels — the
     sweep {!census} runs per table, exposed so a distributed-census
     worker process ([lib/dist]) decides its leased rank range exactly
     like the in-process sweep decides a chunk.  [Trie] decides on the
-    calling domain's reused kernels (one per process count,
-    {!Kernel.retarget}ed to [ty] at most once per table, the first time
-    a rung needs it, and shared by both conditions) as one ladder:
+    calling domain's reused kernels (one per process count, brought to
+    [ty] at most once per table, the first time a rung needs it, and
+    shared by both conditions) as one ladder:
     discerning for [n = 2, 3, ...], each rung [n >= 3] through
     [Kernel.exists ~below] the [n - 1] kernel, then recording only up to
     the discerning level [d] (recording implies discerning), on the same
-    scratches.  [Reference] replays [cache]'s shared schedule sets and
+    scratches.  A kernel that already decided a table of [chain] on this
+    domain is {!Kernel.step}ped to [ty], keeping the evaluations the
+    table delta spares; otherwise (and always without [chain]) it is
+    {!Kernel.retarget}ed, as a fresh compile.  So the counts a chain
+    adds depend only on its tables, in order: {!census} starts a chain
+    at the first rank of each pool chunk (fixed 32-rank ranges at every
+    job count), and [Dist_worker] one per batch.
+    [Reference] replays [cache]'s shared schedule sets and
     decides every rung of both conditions unpruned, so it stays an
     independent check of the ladder.  Both give [Census.levels]'
     verdicts.  The kernels are per domain,

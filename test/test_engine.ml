@@ -787,6 +787,54 @@ let test_census_sample_pinned () =
       check_bool (label ^ ": complete") true run.Engine.complete)
     [ (1, false); (2, false); (1, true) ]
 
+(* A census steps each per-n kernel along a chain of tables that starts
+   at the first rank of every 32-rank pool chunk, so the decide.*
+   counters depend on the chunk layout only, never on which domain ran a
+   chunk: they must be equal at jobs 1 and 2, and the histogram must be
+   the sequential census' ([Census.levels] over the same tables, which is
+   [Census.exhaustive] on all of {2,2,2}) — on {2,2,2} and on a 500-draw
+   {3,2,2} sample.  The chain must fold less than deciding every table
+   on its own. *)
+let test_census_chain_counts () =
+  let counters =
+    [ "decide.kernel_evals"; "decide.partitions_pruned"; "decide.entries_skipped" ]
+  in
+  let value obs c = Obs.Metrics.Counter.value (Obs.counter obs c) in
+  List.iter
+    (fun (label, space, sample) ->
+      let run jobs =
+        let obs = Obs.create () in
+        let r =
+          Pool.with_pool ~jobs @@ fun pool ->
+          Engine.census ~obs ?sample ~config:(Api.Config.v ~cap:4 ()) pool space
+        in
+        (r.Engine.entries, List.map (value obs) counters)
+      in
+      let h1, c1 = run 1 and h2, c2 = run 2 in
+      List.iter2
+        (fun name (a, b) -> check_int (Printf.sprintf "%s: %s at jobs 1 and 2" label name) a b)
+        counters (List.combine c1 c2);
+      (* the same tables one by one: reference levels, unchained folds *)
+      let rs = Engine.census_ranks ?sample ~sym:false space in
+      let obs = Obs.create () and cache = Engine.Cache.create () in
+      let hist = Hashtbl.create 8 in
+      for i = 0 to rs.Engine.ranks - 1 do
+        let ty = Synth.to_objtype (rs.Engine.genome i) in
+        let key = Census.levels ~cap:4 ty in
+        check_bool (Printf.sprintf "%s #%d: unchained levels" label i) true
+          (Engine.census_levels ~obs cache ~kernel:Kernel.Trie ~cap:4 ty = key);
+        Hashtbl.replace hist key (1 + Option.value ~default:0 (Hashtbl.find_opt hist key))
+      done;
+      let expected = Census.of_histogram hist in
+      check_bool (label ^ ": jobs 1 histogram") true (h1 = expected);
+      check_bool (label ^ ": jobs 2 histogram") true (h2 = expected);
+      check_bool (label ^ ": the chain folds less") true
+        (List.hd c1 < value obs "decide.kernel_evals"))
+    [
+      ("{2,2,2}", { Synth.num_values = 2; num_rws = 2; num_responses = 2 }, None);
+      ("{3,2,2} sample", { Synth.num_values = 3; num_rws = 2; num_responses = 2 }, Some (500, 42));
+    ]
+
 let suite =
   [
     Alcotest.test_case "pool covers the range exactly once" `Quick test_pool_covers_range;
@@ -826,4 +874,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engine_analyze_parity;
     Alcotest.test_case "sampled census histogram pinned at jobs 1/2" `Quick
       test_census_sample_pinned;
+    Alcotest.test_case "census chain counters equal at jobs 1/2" `Quick
+      test_census_chain_counts;
   ]

@@ -1086,6 +1086,122 @@ let prop_retargeted_kernel_matches_fresh_compile =
           !ok)
         [ 2; 3 ])
 
+let prop_stepped_kernels_match_fresh_compile =
+  (* The census chain contract: an (n - 1, n) pair of kernels stepped in
+     lockstep ([Kernel.step]) along a random walk of same-shape tables,
+     each differing from the last in 1-3 cells and sometimes in all of
+     them, answers every query after each step byte-identically to a
+     fresh compile of the table: [exists] with and without [~below],
+     full and partial [search_range] scans and single-candidate
+     [check]s, interleaved in a random order.  Every entry a step keeps
+     valid must hold what a fresh fold of the new table gives
+     ([Kernel.stale_entries] is 0 right after the step, before any query
+     refolds it).  The first step of each pair drops the untracked
+     entries the first table's queries made. *)
+  let arbitrary = QCheck.make ~print:string_of_int QCheck.Gen.int in
+  QCheck.Test.make ~name:"stepped kernels match a fresh compile" ~count:100 arbitrary
+    (fun case_seed ->
+      let rng = Random.State.make [| case_seed; 0x57e9 |] in
+      let nv = 2 + Random.State.int rng 3 in
+      let no = 2 + Random.State.int rng 2 in
+      let nr = 2 + Random.State.int rng 2 in
+      let n = 3 + Random.State.int rng 2 in
+      let cells = nv * no in
+      let draw () = (Random.State.int rng nr, Random.State.int rng nv) in
+      let tbl = Array.init cells (fun _ -> draw ()) in
+      let mk () =
+        let t = Array.copy tbl in
+        Objtype.make ~name:"stepped" ~num_values:nv ~num_ops:no ~num_responses:nr (fun v o ->
+            t.((v * no) + o))
+      in
+      let k = Kernel.compile (mk ()) ~n and kb = Kernel.compile (mk ()) ~n:(n - 1) in
+      let s = Kernel.scratch k and sb = Kernel.scratch kb in
+      let conds = [ Kernel.Discerning; Kernel.Recording ] in
+      (* One query, drawn at random, on the stepped pair and on fresh
+         compiles of the current table. *)
+      let query () =
+        let cond = List.nth conds (Random.State.int rng 2) in
+        let fresh n =
+          let f = Kernel.compile (mk ()) ~n in
+          (f, Kernel.scratch f)
+        in
+        let stop _ = false in
+        let full (f, fs) = Kernel.search_range f fs cond ~lo:0 ~hi:(Kernel.total f) ~stop in
+        match Random.State.int rng 5 with
+        | 0 -> Kernel.exists ~below:(kb, sb) k s cond = (fst (full (fresh n)) <> None)
+        | 1 -> Kernel.exists k s cond = (fst (full (fresh n)) <> None)
+        | 2 -> Kernel.exists kb sb cond = (fst (full (fresh (n - 1))) <> None)
+        | 3 ->
+            let lo = Random.State.int rng (Kernel.total k) in
+            let hi = lo + 1 + Random.State.int rng (Kernel.total k - lo) in
+            let f, fs = fresh n in
+            Kernel.search_range k s cond ~lo ~hi ~stop = Kernel.search_range f fs cond ~lo ~hi ~stop
+        | _ ->
+            let f, fs = fresh n in
+            List.for_all
+              (fun _ ->
+                let u, team, ops = Kernel.candidate k (Random.State.int rng (Kernel.total k)) in
+                Kernel.check k s cond ~u ~team ~ops = Kernel.check f fs cond ~u ~team ~ops)
+              [ (); (); () ]
+      in
+      let ok = ref true in
+      for _ = 1 to 1 + Random.State.int rng 3 do
+        ok := !ok && query ()
+      done;
+      for _step = 1 to 12 do
+        (if Random.State.int rng 6 = 0 then Array.iteri (fun c _ -> tbl.(c) <- draw ()) tbl
+         else
+           for _ = 1 to 1 + Random.State.int rng 3 do
+             let c = Random.State.int rng cells in
+             let old = tbl.(c) in
+             while tbl.(c) = old do
+               tbl.(c) <- draw ()
+             done
+           done);
+        let ty = mk () in
+        Kernel.step kb sb ty;
+        Kernel.step k s ty;
+        ok :=
+          !ok
+          && Objtype.equal_behaviour (Kernel.to_objtype k) ty
+          && Kernel.stale_entries k s = 0
+          && Kernel.stale_entries kb sb = 0;
+        for _ = 1 to Random.State.int rng 5 do
+          ok := !ok && query ()
+        done
+      done;
+      !ok && Kernel.stale_entries k s = 0 && Kernel.stale_entries kb sb = 0)
+
+let test_rank_steps () =
+  (* The kernels rank sorted op multisets through [Kernel.rank_steps];
+     it must agree with [Kernel.rank_sorted] and with the lex position
+     on every nondecreasing sequence of length n <= 6 over no <= 4 ops. *)
+  for n = 1 to 6 do
+    for no = 1 to 4 do
+      let steps = Kernel.rank_steps ~m:no ~k:n in
+      let buf = Array.make n 0 and index = ref 0 and more = ref true in
+      while !more do
+        let label = Printf.sprintf "n=%d no=%d #%d" n no !index in
+        let via_table = ref 0 in
+        Array.iteri (fun pos o -> via_table := !via_table + steps.((pos * no) + o)) buf;
+        check_int (label ^ " rank_sorted") !index (Kernel.rank_sorted ~m:no ~k:n buf);
+        check_int (label ^ " table") !index !via_table;
+        incr index;
+        let j = ref (n - 1) in
+        while !j >= 0 && buf.(!j) = no - 1 do
+          decr j
+        done;
+        if !j < 0 then more := false else Array.fill buf !j (n - !j) (buf.(!j) + 1)
+      done;
+      (* C(no + n - 1, n) sequences in all *)
+      let count = ref 1 in
+      for i = 1 to n do
+        count := !count * (no - 1 + i) / i
+      done;
+      check_int (Printf.sprintf "n=%d no=%d: every multiset ranked" n no) !count !index
+    done
+  done
+
 let test_retarget_rejects () =
   let tas = Gallery.test_and_set in
   let k = Kernel.compile tas ~n:2 in
@@ -1153,6 +1269,8 @@ let suite =
       test_kernel_multiword_values;
     QCheck_alcotest.to_alcotest prop_patched_kernel_matches_fresh_compile;
     QCheck_alcotest.to_alcotest prop_retargeted_kernel_matches_fresh_compile;
+    QCheck_alcotest.to_alcotest prop_stepped_kernels_match_fresh_compile;
+    Alcotest.test_case "rank steps agree with rank_sorted" `Quick test_rank_steps;
     QCheck_alcotest.to_alcotest prop_reference_verdict_is_process_symmetric;
     Alcotest.test_case "kernel folds once per sorted op multiset" `Quick
       test_kernel_folds_per_multiset;
