@@ -143,8 +143,9 @@ module Request : sig
   (** The most tables an exhaustive census under [--sym on] may have:
       [2^34 = 17,179,869,184].  There the per-rank arrays are per
       isomorphism class, and what scales with the table count is
-      [Sym.classes]' one-bit-a-table sweep mark (2 GiB at the bound), so
-      [{5,2,2}] ([10^10] tables, a 1.25 GB mark) is accepted and
+      [Sym.classes]' sweep mark, one bit per (response pattern, value
+      column) pair and so at most one a table (2 GiB at the bound):
+      [{5,2,2}] ([10^10] tables, a 625 MB mark) is accepted and
       [{4,3,2}] is not. *)
 
   val validate : t -> (unit, string) result

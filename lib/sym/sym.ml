@@ -27,10 +27,11 @@
    worst case (the fully symmetric table) enumerates values! * ops!
    placements, which is why census spaces keep dimensions small.
 
-   [classes] quotients a whole rankable space: a flat integer sweep that
-   enumerates each orbit through a precomputed table of per-cell digit
-   contributions, marks its members in a bitset, and canonizes only the
-   orbit's first-met index. *)
+   [classes] quotients a whole rankable space: a flat integer sweep over
+   (first-appearance response pattern, value code) pairs — S_responses
+   divided out exactly — that enumerates each orbit's images under
+   S_values x S_ops alone, marks them in a bitset, and canonizes only
+   the orbit's first-met member. *)
 
 type t = {
   values : int;
@@ -339,8 +340,8 @@ let digest t tbl =
   Array.iter (fun (r, v) -> Buffer.add_string buf (Printf.sprintf " %d:%d" r v)) c.form;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* Forward declaration: [classes] wants the group-element lists that the
-   brute-force section below builds. *)
+(* Forward declaration: [classes] wants the value/op permutation lists
+   that the brute-force section below also uses. *)
 let permutations n =
   let rec insert x = function
     | [] -> [ [ x ] ]
@@ -354,85 +355,146 @@ let permutations n =
 
 (* Orbit sweep, not a canonize-per-index scan: canonizing all [size]
    tables costs a refinement + placement search each, which dominates a
-   reduced census.  Instead, walk indices ascending and, at each index
-   not yet claimed by an earlier orbit, enumerate its whole orbit by
-   applying every group element once — marking every member in a bitset
-   so later sweep positions skip it, and counting the distinct images
-   (the orbit size, definitionally).  Only the one orbit seed is
-   canonized, to name the class by its canonical index.  (The canonical
-   index is *not* simply the least index in the orbit — canonize
-   restricts its search to class-respecting placements, so its minimum
-   is over a refinement-invariant subset of images, not the whole orbit
-   — which is why the seed must still go through canonize.)
+   reduced census.  Instead, walk the space once, enumerate each orbit
+   from the first member met, mark its members in a bitset so later
+   sweep positions skip them, and canonize only that seed to name the
+   class.  (The canonical index is *not* simply the least index in the
+   orbit — canonize restricts its search to class-respecting placements,
+   so its minimum is over a refinement-invariant subset of images — which
+   is why the seed must still go through canonize.)
 
-   The group action is linear in the digits: element g sends digit d of
-   cell c to digit [digit_g(d)] of cell [pos_g(c)], so the image's index
-   is the sum over cells of [base ^ pos_g(c) * digit_g(d)].  [contrib]
-   precomputes every such term, laid out [(g * cells + c) * base + d],
-   and an image costs [cells] lookups and adds. *)
+   S_responses is quotiented exactly rather than enumerated.  A sweep
+   position is a pair (pattern, value code): the table's response column
+   relabeled in order of first appearance from cell 0 — a restricted
+   growth string over at most [responses] labels — and its value column
+   read as a base-[values] number.  First-appearance relabeling is a
+   complete invariant of S_responses, so a seed's orbit is covered by its
+   [values! * ops!] images under H = S_values x S_ops, each with its
+   responses renormalized, and the orbit size is the number of distinct
+   normalized images times r! / (r - k)!, the ways to rename the k labels
+   the seed uses (THEORY.md, "The response quotient").
+
+   Patterns are ranked arithmetically in lexicographic order:
+   [cnt.(i * w + m)] counts the completions of cells [i ..] when [m]
+   labels are in use, so label [a] at cell [i] adds
+   [a * cnt.((i + 1) * w + m)] — a [(cells + 1)^2] table, however many
+   responses the shape has.  The sweep walks patterns in that order and
+   every value code under each; an image's pattern depends on the
+   pattern and the element alone, so it is ranked once per (pattern,
+   element), and an image's value code is a sum of [cells] entries of a
+   per-element contribution table. *)
 let classes t =
-  let v = t.values and o = t.ops and cells = t.cells and base = t.base in
-  let size = space_size t in
-  let group = group_order t in
-  let stride = cells * base in
-  let contrib = Array.make (group * stride) 0 in
-  let pow = Array.make cells 1 in
-  for i = 1 to cells - 1 do
-    pow.(i) <- pow.(i - 1) * base
+  let v = t.values and o = t.ops and r = t.responses and cells = t.cells in
+  ignore (space_size t) (* raises on an unrankable space *);
+  let w = cells + 1 in
+  let cnt = Array.make (w * w) 0 in
+  for m = 0 to min cells r do
+    cnt.((cells * w) + m) <- 1
   done;
-  let pos = permutations o and prs = permutations t.responses in
-  let elt = ref 0 in
+  for i = cells - 1 downto 0 do
+    for m = 0 to min i r do
+      cnt.((i * w) + m) <-
+        (m * cnt.(((i + 1) * w) + m)) + if m < r then cnt.(((i + 1) * w) + m + 1) else 0
+    done
+  done;
+  let vpow = Array.make w 1 in
+  for c = 1 to cells do
+    vpow.(c) <- vpow.(c - 1) * v
+  done;
+  let vsize = vpow.(cells) in
+  (* H as flat tables: element [h] moves cell [src.(h * cells + c)] to
+     cell [c], and value [y] at cell [c] adds
+     [vcontrib.((h * cells + c) * v + y)] to the image's value code. *)
+  let pvl = permutations v and pol = permutations o in
+  let hsize = List.length pvl * List.length pol in
+  let src = Array.make (hsize * cells) 0 and vcontrib = Array.make (hsize * cells * v) 0 in
+  let h = ref 0 in
   List.iter
     (fun pv ->
       List.iter
         (fun po ->
-          List.iter
-            (fun pr ->
-              let off = !elt * stride in
-              for x = 0 to v - 1 do
-                for op = 0 to o - 1 do
-                  let p = pow.((pv.(x) * o) + po.(op)) in
-                  let cell = off + (((x * o) + op) * base) in
-                  for d = 0 to base - 1 do
-                    contrib.(cell + d) <- p * ((pr.(d / v) * v) + pv.(d mod v))
-                  done
-                done
-              done;
-              incr elt)
-            prs)
-        pos)
-    (permutations v);
-  let mark = Bytes.make ((size + 7) / 8) '\000' in
-  let offs = Array.make cells 0 in
+          for x = 0 to v - 1 do
+            for op = 0 to o - 1 do
+              let c = (x * o) + op and c' = (pv.(x) * o) + po.(op) in
+              src.((!h * cells) + c') <- c;
+              for y = 0 to v - 1 do
+                vcontrib.((((!h * cells) + c) * v) + y) <- pv.(y) * vpow.(c')
+              done
+            done
+          done;
+          incr h)
+        pol)
+    pvl;
+  let mark = Bytes.make (((cnt.(0) * vsize) + 7) / 8) '\000' in
+  let pat = Array.make cells 0 and vals = Array.make cells 0 and voff = Array.make cells 0 in
+  let rho = Array.make r (-1) and pimg = Array.make hsize 0 in
   let tbl = Array.make cells (0, 0) in
   let acc = ref [] in
-  for idx = 0 to size - 1 do
-    if Char.code (Bytes.get mark (idx lsr 3)) land (1 lsl (idx land 7)) = 0 then begin
-      let rem = ref idx in
+  let prank = ref 0 in
+  (* Every value code under the pattern [pat], which uses [k] labels. *)
+  let sweep_values k =
+    for h = 0 to hsize - 1 do
+      Array.fill rho 0 k (-1);
+      let m = ref 0 and rank = ref 0 in
       for c = 0 to cells - 1 do
-        let d = !rem mod base in
-        offs.(c) <- (c * base) + d;
-        tbl.(c) <- (d / v, d mod v);
-        rem := !rem / base
+        let a = pat.(src.((h * cells) + c)) and mb = !m in
+        if rho.(a) < 0 then begin
+          rho.(a) <- mb;
+          incr m
+        end;
+        rank := !rank + (rho.(a) * cnt.(((c + 1) * w) + mb))
       done;
-      let distinct = ref 0 in
-      for g = 0 to group - 1 do
-        let off = g * stride in
-        let img = ref 0 in
+      pimg.(h) <- !rank * vsize
+    done;
+    let falling = ref 1 in
+    for j = 0 to k - 1 do
+      falling := !falling * (r - j)
+    done;
+    for vcode = 0 to vsize - 1 do
+      let p = (!prank * vsize) + vcode in
+      if Char.code (Bytes.get mark (p lsr 3)) land (1 lsl (p land 7)) = 0 then begin
         for c = 0 to cells - 1 do
-          img := !img + contrib.(off + offs.(c))
+          voff.(c) <- (c * v) + vals.(c);
+          tbl.(c) <- (pat.(c), vals.(c))
         done;
-        let byte = !img lsr 3 and bit = 1 lsl (!img land 7) in
-        let m = Char.code (Bytes.get mark byte) in
-        if m land bit = 0 then begin
-          Bytes.set mark byte (Char.chr (m lor bit));
-          incr distinct
-        end
+        let distinct = ref 0 in
+        for h = 0 to hsize - 1 do
+          let off = h * cells * v in
+          let img = ref pimg.(h) in
+          for c = 0 to cells - 1 do
+            img := !img + vcontrib.(off + voff.(c))
+          done;
+          let byte = !img lsr 3 and bit = 1 lsl (!img land 7) in
+          let b = Char.code (Bytes.get mark byte) in
+          if b land bit = 0 then begin
+            Bytes.set mark byte (Char.chr (b lor bit));
+            incr distinct
+          end
+        done;
+        acc := ((canonize t tbl).index, !distinct * !falling) :: !acc
+      end;
+      (* next value code: a base-[values] odometer, back at zero after
+         the last one *)
+      let c = ref 0 in
+      while !c < cells && vals.(!c) = v - 1 do
+        vals.(!c) <- 0;
+        incr c
       done;
-      let c = canonize t tbl in
-      acc := (c.index, !distinct) :: !acc
-    end
-  done;
+      if !c < cells then vals.(!c) <- vals.(!c) + 1
+    done;
+    incr prank
+  in
+  (* patterns in lexicographic order, so [!prank] counts up through the
+     ranks [cnt] gives them *)
+  let rec walk i m =
+    if i = cells then sweep_values m
+    else
+      for a = 0 to min m (r - 1) do
+        pat.(i) <- a;
+        walk (i + 1) (if a = m then m + 1 else m)
+      done
+  in
+  walk 0 0;
   let pairs = Array.of_list !acc in
   Array.sort (fun (a, _) (b, _) -> compare a b) pairs;
   (Array.map fst pairs, Array.map snd pairs)

@@ -94,11 +94,17 @@ val digest : t -> (int * int) array -> string
 val classes : t -> int array * int array
 (** [(reps, orbits)]: the canonical representatives of every orbit in
     increasing rank order, with [orbits.(i)] the orbit size of
-    [reps.(i)].  A full sweep of the space: one canonization per class,
-    plus {!group_order} images per class (each a sum of {!cells}
-    precomputed table entries), plus a [space_size / 8]-byte bitset of
-    claimed indices — meant for census-sized spaces, not for one-off
-    queries. *)
+    [reps.(i)].  A full sweep of the space with the response relabeling
+    divided out: it walks pairs (response column relabeled in order of
+    first appearance, value column), so its bitset of claimed pairs holds
+    [values^cells] bits per pattern: 187 x 729 = 136,323 bits at
+    [{3,2,4}], where the space has 2,985,984 tables.  The cost is one canonization per class plus [values! * ops!]
+    images per class (each a sum of {!cells} precomputed table entries),
+    and one pattern ranking per (pattern, image) pair from a
+    [(cells + 1)^2] table of completion counts.  Meant for census-sized
+    spaces, not for one-off queries.  It never forms {!group_order}, so
+    a rankable shape whose group overflows, such as [{2,2,181}], sweeps.
+    @raise Invalid_argument on an unrankable space. *)
 
 (** {1 Brute-force oracles (for tests)} *)
 

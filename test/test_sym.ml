@@ -100,21 +100,41 @@ let test_classes_partition () =
    consistent: members counted per rep equal the rep's orbit.  All
    46,656 indices of {3,2,2}, so the sweep's orbit images and the
    canonizer's class-respecting search are checked against each other
-   on a space with three values for refinement to split. *)
+   on a space with three values for refinement to split; and every
+   index of {2,2,3} and {2,3,3}, where many tables leave a response
+   label unused, so the sweep's r! / (r - k)! renaming factor is
+   checked against the canonizer class by class. *)
 let test_classes_cover () =
-  let t = Sym.make ~values:3 ~ops:2 ~responses:2 in
+  List.iter
+    (fun (v, o, r) ->
+      let t = Sym.make ~values:v ~ops:o ~responses:r in
+      let name = Printf.sprintf "{%d,%d,%d}" v o r in
+      let reps, orbits = Sym.classes t in
+      let count = Hashtbl.create 4096 in
+      for idx = 0 to Sym.space_size t - 1 do
+        let c = Sym.canonize_index t idx in
+        Hashtbl.replace count c.Sym.index
+          (1 + Option.value ~default:0 (Hashtbl.find_opt count c.Sym.index))
+      done;
+      check_int (name ^ " every index lands on a rep") (Array.length reps) (Hashtbl.length count);
+      Array.iteri
+        (fun i rep ->
+          check_int (name ^ " class population = orbit size") orbits.(i)
+            (Option.value ~default:0 (Hashtbl.find_opt count rep)))
+        reps)
+    [ (3, 2, 2); (2, 2, 3); (2, 3, 3) ]
+
+(* The sweep never forms the group order, so it runs on a rankable
+   shape whose values! * ops! * responses! overflows: {2,2,181} has
+   362^4 tables and 181! group elements.  A table has four cells and so
+   uses at most four response labels, which makes its classes those of
+   {2,2,5}: 81 of them. *)
+let test_classes_large_responses () =
+  let t = Sym.make ~values:2 ~ops:2 ~responses:181 in
   let reps, orbits = Sym.classes t in
-  let count = Hashtbl.create 4096 in
-  for idx = 0 to Sym.space_size t - 1 do
-    let c = Sym.canonize_index t idx in
-    Hashtbl.replace count c.Sym.index (1 + Option.value ~default:0 (Hashtbl.find_opt count c.Sym.index))
-  done;
-  check_int "every index lands on a rep" (Array.length reps) (Hashtbl.length count);
-  Array.iteri
-    (fun i rep ->
-      check_int "class population = orbit size" orbits.(i)
-        (Option.value ~default:0 (Hashtbl.find_opt count rep)))
-    reps
+  check_int "class count as at {2,2,5}" 81 (Array.length reps);
+  check_int "orbit sizes sum to the space" (Sym.space_size t) (Array.fold_left ( + ) 0 orbits);
+  Array.iter (fun rep -> check_bool "rep is its own canonical index" true (Sym.is_rep t rep)) reps
 
 (* --- bit-identity pins ----------------------------------------------- *)
 
@@ -130,6 +150,8 @@ let classes_pins =
     ((2, 2, 3), 74, "a405c209ac23d3c67326897f8d1e881e");
     ((3, 2, 3), 7623, "17ded03bbbf87651e8ddf200a918a295");
     ((3, 2, 4), 11676, "4f5d55ee8c7ae3fef597b87e57c2d079");
+    ((2, 2, 5), 81, "d5c929237a5de98fb48b541f41d2ded2");
+    ((2, 3, 4), 1183, "a16319d89787fc288967e7f3650dd51c");
   ]
 
 let test_classes_pinned () =
@@ -299,6 +321,7 @@ let suite =
     ("canonize agrees with brute force on {2,2,2}", `Quick, test_brute_agreement);
     ("orbit sizes sum to the candidate count", `Quick, test_classes_partition);
     ("classes cover the space", `Quick, test_classes_cover);
+    ("classes past the group order", `Quick, test_classes_large_responses);
     ("classes pinned bit-identical", `Quick, test_classes_pinned);
     ("digest color order pinned", `Quick, test_digest_color_order_pinned);
     ("canonical digests", `Quick, test_digest);

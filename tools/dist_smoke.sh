@@ -15,9 +15,9 @@
 #      death, steal and result.
 #
 # Then the symmetry-reduced census, single-process and over 2 workers:
-# both must be gated on a nonzero sym.classes counter (the canonizer
-# actually ran) and both histograms bit-identical to the unreduced
-# single-process run.
+# both must report the space's 44 classes and largest orbit of 8 (the
+# class sweep ran and partitioned {2,2,2} as it always has) and both
+# histograms must be bit-identical to the unreduced single-process run.
 #
 # Then the soak: `rcn soak --dist` runs the {3,2,2} cap-4 census with
 # seeded worker SIGKILLs plus a coordinator kill(-9) and --resume from
@@ -74,9 +74,9 @@ diff "$OUT/dist-smoke-single.out" <(grep -v '"rcn_stats"' "$OUT/dist-smoke.out")
 
 # Symmetry reduction: one representative per canonical class, verdicts
 # weighted by orbit size — the histogram must not move a bit, and the
-# sym.classes counter proves the canonizer (not the full sweep) ran.
+# sym.classes and sym.orbit_max counters pin the class sweep's partition.
 "$RCN" census $SPACE --jobs 1 --sym on --stats json > "$OUT/dist-smoke-sym.out"
-"$CHECK" --require-nonzero sym.classes --require-nonzero sym.orbit_max \
+"$CHECK" --require-eq sym.classes=44 --require-eq sym.orbit_max=8 \
   < "$OUT/dist-smoke-sym.out" \
   || fail "sym census did not report canonical classes"
 diff "$OUT/dist-smoke-single.out" <(grep -v '"rcn_stats"' "$OUT/dist-smoke-sym.out") >/dev/null \
@@ -85,7 +85,7 @@ diff "$OUT/dist-smoke-single.out" <(grep -v '"rcn_stats"' "$OUT/dist-smoke-sym.o
 # ... and the same reduction sharded over worker processes.
 "$RCN" census $SPACE --jobs 1 --sym on --workers 2 --stats json \
   > "$OUT/dist-smoke-sym-dist.out"
-"$CHECK" --require-nonzero sym.classes \
+"$CHECK" --require-eq sym.classes=44 --require-eq sym.orbit_max=8 \
   < "$OUT/dist-smoke-sym-dist.out" \
   || fail "distributed sym census did not report canonical classes"
 diff "$OUT/dist-smoke-single.out" <(grep -v '"rcn_stats"' "$OUT/dist-smoke-sym-dist.out") >/dev/null \
