@@ -166,27 +166,30 @@ bench-e21: build
 # E22 incremental decision kernel (warm-start vs from-scratch synthesis
 # on the E6 target-4 workload); writes BENCH_e22.json for CI to archive
 # and exits nonzero if the fitness trajectories diverge between the two
-# modes (the patched-kernel exactness contract), if the incremental run
-# never exercised the patch path, or if the speedup drops below the 3x
+# modes (the stepped-kernel exactness contract), if the incremental run
+# never exercised the step memo, or if the speedup drops below the 3x
 # floor.
 bench-e22: build
 	./_build/default/bench/e22.exe
 
 # Synthesis smoke: a small climb whose candidate stream must actually
 # exercise the incremental machinery — nonzero fitness evaluations,
-# symmetry-memo skips, kernel patches and surviving (reused) memo
-# entries.  The search legitimately may or may not find a witness at
-# this budget.  The climb is deterministic and single-domain, so its
-# evaluation, patch and kernel-eval counts are pinned exactly.  The warm
-# fitness decides through Kernel.exists over (initial value, sorted op
-# multiset) entries: decide.kernel_evals counts entries folded, so a
-# patch that invalidates more memo entries than the edit requires shows
-# up as extra folds; decide.partitions_pruned counts entries answered
-# from the memo (a kept verdict or a valid fold) and is pinned beside it,
-# so that their sum, the entries visited, is pinned too.
-# kernel.masks_invalidated and kernel.masks_reused are pinned as well:
-# patch and unpatch must invalidate and restore exactly the entries the
-# edited cell requires, however the scratch stores and walks them.
+# symmetry-memo skips, ladder skips, entries dropped by steps and
+# surviving (reused) memo entries.  The search legitimately may or may
+# not find a witness at this budget.  The climb is deterministic and
+# single-domain, so its evaluation and kernel counts are pinned exactly.
+# The warm fitness steps each level it consults to the candidate's
+# table and decides through Kernel.exists over (initial value, sorted op
+# multiset) entries, the two upper levels with the level below as
+# `below`, as a census climbs its ladder: decide.kernel_evals counts
+# entries folded, so a step that invalidates more memo entries than the
+# changed cells require shows up as extra folds;
+# decide.partitions_pruned counts entries answered from the memo and
+# decide.entries_skipped the ones the ladder passed, so every visit is
+# pinned.  kernel.masks_invalidated (entries steps dropped) and
+# kernel.masks_reused (memo hits on a stepped scratch) are pinned as
+# well: a step must drop exactly the entries its changed cells require,
+# however the scratch stores and walks them.
 synth-smoke: build
 	mkdir -p $(SMOKE_DIR)
 	./_build/default/bin/rcn.exe synth --target 4 --values 3 --rws 2 --responses 2 \
@@ -194,13 +197,14 @@ synth-smoke: build
 	  | tee $(SMOKE_DIR)/synth-smoke.out \
 	  | ./_build/default/tools/stats_check.exe \
 	      --require-nonzero synth.evals --require-nonzero synth.sym_skips \
-	      --require-nonzero kernel.patches --require-nonzero kernel.masks_reused \
+	      --require-nonzero decide.entries_skipped --require-nonzero kernel.masks_reused \
 	      --require-nonzero kernel.masks_invalidated \
-	      --require-eq synth.evals=292 --require-eq kernel.patches=1016 \
-	      --require-eq decide.kernel_evals=5203 \
-	      --require-eq decide.partitions_pruned=6241 \
-	      --require-eq kernel.masks_invalidated=8069 \
-	      --require-eq kernel.masks_reused=9205
+	      --require-eq synth.evals=292 \
+	      --require-eq decide.kernel_evals=4308 \
+	      --require-eq decide.partitions_pruned=7274 \
+	      --require-eq decide.entries_skipped=4831 \
+	      --require-eq kernel.masks_invalidated=4257 \
+	      --require-eq kernel.masks_reused=7274
 	rm -f $(SMOKE_DIR)/synth-smoke.out
 
 # Self-healing smoke, two halves (binaries invoked directly — see the

@@ -6,10 +6,13 @@
 
      incremental  Synth.search ~incremental:true — one long-lived
                   kernel + scratch per fitness level held across the
-                  whole climb, each mutation applied as a one-cell
-                  Kernel.patch with delta invalidation of the per-(u,
-                  ops) evaluation memo, rejected candidates reverted
-                  with Kernel.unpatch;
+                  whole climb, each level Kernel.step'ped to a
+                  candidate's table at its first consultation (delta
+                  invalidation of the per-(u, ops) evaluation memo: only
+                  the entries that read a changed cell are refolded, and
+                  a rejected candidate is left by stepping to the next
+                  one), the two upper levels deciding through
+                  Kernel.exists ~below, as a census climbs its ladder;
      from-scratch Synth.search ~incremental:false — kernels recompiled
                   and memos rebuilt on every candidate (the baseline
                   the pre-incremental synthesizer always paid).
@@ -17,24 +20,26 @@
    Both modes draw identically from the RNG and score identical
    candidate sequences, so the fitness trajectory (every candidate's
    score, in order) and the final outcome must be bit-identical — any
-   divergence means the patched kernels answered a query differently
+   divergence means the stepped kernels answered a query differently
    from a fresh compile, and the bench fails hard on it (exactness is
    the contract, never waived).  Writes BENCH_e22.json and exits
    nonzero on divergence, on a speedup below [speedup_floor], or if
-   the incremental run did not actually exercise the patch path.
+   the incremental run never exercised the step memo (no entry
+   invalidated by a step, or none reused after one).
 
    The workload is the search's warm-start regime and says so: one
    ladder-seeded climb (the candidate budget stays below the restart
    threshold), where the fitness cascade short-circuits early and a
    candidate costs a few delta-driven recording evaluations against a
-   recompile-plus-fresh-sweep.  Once a climb parks on the
-   not-(target-1)-recording plateau, every candidate pays a discerning
-   refutation sweep whose incremental cost is bounded below by the
-   invalidation fraction f (the share of memo entries whose folds read
-   a random edited cell): patches invalidate exactly those entries, so
-   the deep-budget ratio is ~1/f, measured 4.6x on {11,3,11} at 6,000
-   candidates and 3.0x on {7,2,7} at 2,000 — EXPERIMENTS.md E6 and E24
-   report the budget/space table for both regimes.
+   recompile-plus-fresh-sweep.  In this regime a candidate folds few
+   entries, so its fixed costs — building the candidate's type and
+   stepping each consulted level to it — weigh as much as the folds.
+   Once a climb parks on the not-(target-1)-recording plateau, every
+   candidate pays a discerning refutation sweep whose incremental cost
+   is bounded below by the invalidation fraction f (the share of memo
+   entries whose folds read a random edited cell), so the deep-budget
+   ratio is ~1/f — EXPERIMENTS.md E6 and E24 report the budget/space
+   table for both regimes, and E31 the ratios of this bench.
 
    Timing: [reps] pairs, the two modes alternating run by run (the mode
    that runs first alternates per pair), gated on the median of the
@@ -102,12 +107,12 @@ let () =
   let speedup = median (List.map (fun ((_, i, _, _), (_, s, _, _)) -> s /. i) pairs) in
   let evals = counter_value obs_inc "synth.evals" in
   let skips = counter_value obs_inc "synth.sym_skips" in
-  let patches = counter_value obs_inc "kernel.patches" in
+  let skipped = counter_value obs_inc "decide.entries_skipped" in
   let invalidated = counter_value obs_inc "kernel.masks_invalidated" in
   let reused = counter_value obs_inc "kernel.masks_reused" in
   Printf.printf
-    "e22: incremental  %6.3f s — %d evals, %d sym skips, %d patches, %d masks invalidated, %d reused\n%!"
-    inc_s evals skips patches invalidated reused;
+    "e22: incremental  %6.3f s — %d evals, %d sym skips, %d entries skipped, %d masks invalidated, %d reused\n%!"
+    inc_s evals skips skipped invalidated reused;
   let evals_scr = counter_value obs_scr "synth.evals" in
   Printf.printf "e22: from-scratch %6.3f s — %d evals\n%!" scr_s evals_scr;
 
@@ -124,7 +129,7 @@ let () =
   let witness_identical =
     evals = evals_scr && String.equal (witness_spec w_inc) (witness_spec w_scr)
   in
-  let patched = patches > 0 && reused > 0 in
+  let stepped = invalidated > 0 && reused > 0 in
   let evals_per_s s = float_of_int evals /. s in
   let json =
     Wire.Obj
@@ -143,7 +148,7 @@ let () =
         ("reps", Wire.Int reps);
         ("evals", Wire.Int evals);
         ("sym_skips", Wire.Int skips);
-        ("patches", Wire.Int patches);
+        ("entries_skipped", Wire.Int skipped);
         ("masks_invalidated", Wire.Int invalidated);
         ("masks_reused", Wire.Int reused);
         ("incremental_s", Wire.Float inc_s);
@@ -171,9 +176,10 @@ let () =
     Printf.eprintf "e22: search outcomes diverged between incremental and from-scratch\n";
     exit 1
   end;
-  if not patched then begin
-    Printf.eprintf "e22: incremental run never exercised the patch path (patches=%d reused=%d)\n"
-      patches reused;
+  if not stepped then begin
+    Printf.eprintf
+      "e22: incremental run never exercised the step memo (masks_invalidated=%d masks_reused=%d)\n"
+      invalidated reused;
     exit 1
   end;
   if speedup < speedup_floor then begin

@@ -1513,8 +1513,9 @@ let synth_cmd =
           ~doc:
             "Warm-start neighborhood search: $(b,on) (the default) holds one \
              compiled decision kernel per fitness level across the whole climb \
-             and applies each mutation as a one-cell table patch with delta \
-             invalidation; $(b,off) recompiles kernels on every candidate — \
+             and steps each level to a candidate's table with delta \
+             invalidation, deciding the upper levels over the level below; \
+             $(b,off) recompiles kernels on every candidate — \
              the ablation baseline.  The fitness trajectory and the witness \
              are bit-identical in both modes at a fixed seed.")
   in

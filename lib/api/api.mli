@@ -46,8 +46,8 @@ module Config : sig
             on the wire means [false], so v1 configs still decode. *)
     incremental : bool;
         (** warm-start synthesis: hold one kernel + scratch per fitness
-            level across the whole climb and apply mutations with
-            [Kernel.patch] instead of recompiling per candidate.  The
+            level across the whole climb and [Kernel.step] each level to
+            a candidate's table instead of recompiling per candidate.  The
             fitness trajectory and result are bit-identical either way
             (enforced by bench e22), so this is a pure performance
             switch — [false] is the ablation baseline.  Absent on the

@@ -45,7 +45,7 @@ val is_discerning : Objtype.t -> n:int -> bool
 val is_recording : Objtype.t -> n:int -> bool
 (** Each compiles a kernel per call.  Against a caller-owned, long-lived
     kernel and scratch (the census's per-[n] slots, the synthesizer's
-    patched fitness levels) decide with {!Kernel.exists} instead. *)
+    stepped fitness levels) decide with {!Kernel.exists} instead. *)
 
 val certificates :
   ?naive:bool ->

@@ -206,7 +206,6 @@ type t = {
   mutable c_evals : Obs.Metrics.Counter.t option;
   mutable c_pruned : Obs.Metrics.Counter.t option;
   mutable c_skipped : Obs.Metrics.Counter.t option;
-  mutable c_patches : Obs.Metrics.Counter.t option;
   mutable c_invalidated : Obs.Metrics.Counter.t option;
   mutable c_reused : Obs.Metrics.Counter.t option;
 }
@@ -239,7 +238,6 @@ let bind_counters k obs =
   k.c_evals <- c "decide.kernel_evals";
   k.c_pruned <- c "decide.partitions_pruned";
   k.c_skipped <- c "decide.entries_skipped";
-  k.c_patches <- c "kernel.patches";
   k.c_invalidated <- c "kernel.masks_invalidated";
   k.c_reused <- c "kernel.masks_reused"
 
@@ -284,7 +282,6 @@ let compile ?obs (ty : Objtype.t) ~n =
       c_evals = None;
       c_pruned = None;
       c_skipped = None;
-      c_patches = None;
       c_invalidated = None;
       c_reused = None;
     }
@@ -306,9 +303,8 @@ type verdict = Unknown | Holds | Fails
    discerning clash rows of a given [(u, cops, condition)], plus the
    delta-invalidation metadata — [cells] is a bitset over the [nv * no]
    transition-table cells the trie fold read to produce [masks],
-   recorded while [track] is on.  [patch] flips [valid] off for every
-   entry whose [cells] has the edited bit, [step] for every entry whose
-   [cells] meet the changed ones. *)
+   recorded while [track] is on.  [step] flips [valid] off for every
+   entry whose [cells] meet the cells the new table changed. *)
 type entry = {
   mutable masks : int array;
   mutable cells : int array; (* bitset: cell [c] at word [c lsr 5], bit [c land 31] *)
@@ -341,12 +337,7 @@ type scratch = {
          (condition, u) rows it evaluates. *)
   cur_cells : int array; (* bitset buffer for the eval in progress *)
   cell_words : int; (* length of [cur_cells] *)
-  mutable track : bool; (* record cells? on after the first patch or step *)
-  mutable patches_seen : int;
-  mutable patch_events : int;
-      (* bumped by every invalidating event (patch, unpatch) and never
-         rolled back — the guard telling an unpatch whether its window
-         was quiet enough to restore snapshots (see [unpatch]) *)
+  mutable track : bool; (* record cells? on after the first step *)
   hint : int array;
       (* [exists]'s last witnessing entry per condition (Recording at 0,
          Discerning at 1) as [u * nms + r], -1 when the last scan
@@ -365,7 +356,6 @@ type scratch = {
   mutable n_pruned : int;
   mutable n_skipped : int;
   mutable n_reused : int;
-  mutable epoch : int; (* bumped by [retarget] and [step]; patch tokens carry it *)
 }
 
 let scratch k =
@@ -386,19 +376,16 @@ let scratch k =
     cur_cells = Array.make (((k.nv * k.no) + 31) / 32) 0;
     cell_words = ((k.nv * k.no) + 31) / 32;
     track = false;
-    patches_seen = 0;
-    patch_events = 0;
     hint = [| -1; -1 |];
     sub_rank = [||];
     n_evals = 0;
     n_pruned = 0;
     n_skipped = 0;
     n_reused = 0;
-    epoch = 0;
   }
 
 (* The (condition, u) row's index in [s.rows]: entries for both
-   conditions and every [u] coexist, so a patched scratch never throws
+   conditions and every [u] coexist, so a stepped scratch never throws
    evaluations away wholesale. *)
 let row_of k cond ~u = ((match cond with Recording -> 0 | Discerning -> 1) * k.nv) + u
 
@@ -589,7 +576,6 @@ let some_split_holds k s cond masks ~u =
   done;
   !ok
 
-let count_opt = function Some c -> Obs.Metrics.Counter.incr c | None -> ()
 let add_opt c n = match c with Some c when n <> 0 -> Obs.Metrics.Counter.add c n | _ -> ()
 
 (* Move the scratch's tallies into the kernel's counters. *)
@@ -619,7 +605,7 @@ let lookup k s cond ~u r =
   let e = row.(r) in
   if e.valid then begin
     s.n_pruned <- s.n_pruned + 1;
-    if s.patches_seen > 0 then s.n_reused <- s.n_reused + 1
+    if s.track then s.n_reused <- s.n_reused + 1
   end
   else begin
     s.n_evals <- s.n_evals + 1;
@@ -655,127 +641,10 @@ let check_current k s cond ~u part =
   classify k cond e.masks ~t0 ~t1:(((1 lsl k.n) - 1) lxor t0) ~u
 
 (* ------------------------------------------------------------------ *)
-(* Patching.  A patch rewrites one transition-table cell in place and
-   invalidates exactly the memoized evaluations that read that cell, by
-   walking the allocated rows for valid entries whose [cells] has its
-   bit — O(allocated slots) per patch, and exact: an entry is never
-   dropped for a cell it no longer reads.  The very first patch on a
-   scratch has no cell metadata to consult (tracking was off), so it
-   invalidates every valid entry once and switches tracking on.
-
-   Each entry a patch invalidates is first snapshotted (masks, read-cell
-   bitset and verdict) into the patch token, which also records the
-   patch-event counter at creation.  [unpatch] with a *quiet window* —
-   no invalidating event since the token's own patch — restores the
-   table to exactly the state the snapshots were computed under, so it
-   (a) invalidates the *window* entries, the valid ones that read [c]
-   (the patch left none valid, so each was evaluated under the mutant;
-   a window evaluation that did not read [c] folds identically on both
-   tables and stays valid), then (b) swaps every snapshot back in,
-   valid, with its verdict — a rejected mutation costs zero
-   re-evaluations and zero re-classifications on the way back.
-   Snapshots live in the token, not the entry, so nested live tokens
-   saving the same entry cannot clobber one another.
-
-   The quiet-window guard is what keeps restoration sound: a snapshot
-   describes the table as it stood at the token's patch.  While an
-   inner patch of another cell [c'] is still in force (an out-of-LIFO
-   unpatch), restoring a snapshot that read [c'] would revive masks
-   folded over the old [c'], silently stale.  The event counter cannot
-   tell that window from a balanced inner patch/unpatch pair, so any
-   intervening event makes the token fall back to plain invalidation
-   of [c]'s current readers: the snapshots are discarded and the
-   affected evaluations simply rerun on demand (correct, just slower).
-   Either way the kernel answers as a fresh compile of the restored
-   table — the differential property pins this. *)
-
-type patch = {
-  p_cell : int;
-  p_resp : int;
-  p_next : int;
-  p_stamp : int;
-  p_events : int;
-  p_epoch : int;
-  p_saved : (entry * int array * int array * verdict) list;
-      (* (entry, masks, cells, verdict) at patch time *)
-}
-
-(* Invalidate every valid entry that read cell [c] (every valid entry
-   when [c < 0]); returns how many, with their snapshots when [save]. *)
-let drop_readers s c ~save =
-  let n = ref 0 and saved = ref [] in
-  for r = 0 to Array.length s.rows - 1 do
-    let row = s.rows.(r) in
-    for j = 0 to Array.length row - 1 do
-      let e = row.(j) in
-      if e.valid && (c < 0 || e.cells.(c lsr 5) land (1 lsl (c land 31)) <> 0) then begin
-        if save then saved := (e, e.masks, e.cells, e.verdict) :: !saved;
-        e.valid <- false;
-        incr n
-      end
-    done
-  done;
-  (!n, !saved)
-
-(* Snapshot and invalidate every valid reader of [c]; returns the
-   snapshots.  First patch on a scratch: every valid entry invalidated
-   (no snapshots — nothing would restore them), tracking on. *)
-let invalidate k s c =
-  let first = not s.track in
-  s.track <- true;
-  let n, saved = drop_readers s (if first then -1 else c) ~save:(not first) in
-  s.patches_seen <- s.patches_seen + 1;
-  s.patch_events <- s.patch_events + 1;
-  count_opt k.c_patches;
-  add_opt k.c_invalidated n;
-  saved
-
-let patch k s ~cell:(v, o) ~entry:(r, v') =
-  if v < 0 || v >= k.nv || o < 0 || o >= k.no then
-    invalid_arg "Kernel.patch: cell out of range";
-  if r < 0 || r >= k.nr || v' < 0 || v' >= k.nv then
-    invalid_arg "Kernel.patch: entry out of range";
-  let c = (v * k.no) + o in
-  let p_resp = k.resp.(c) and p_next = k.next.(c) in
-  let p_stamp = s.patches_seen in
-  let p_events = s.patch_events in
-  k.resp.(c) <- r;
-  k.next.(c) <- v';
-  let p_saved = invalidate k s c in
-  { p_cell = c; p_resp; p_next; p_stamp; p_events; p_epoch = s.epoch; p_saved }
-
-let unpatch k s { p_cell = c; p_resp; p_next; p_stamp; p_events; p_epoch; p_saved } =
-  if p_epoch <> s.epoch then invalid_arg "Kernel.unpatch: token predates a retarget or step";
-  k.resp.(c) <- p_resp;
-  k.next.(c) <- p_next;
-  if s.track && s.patch_events = p_events + 1 then begin
-    (* Quiet-window fast path (see the comment above): the only event
-       since the token's creation is its own patch, so every snapshot
-       still describes the restored table.  Window entries first, then
-       the snapshots; the patch clock rolls back so the hot reject
-       cycle reads as zero net patches. *)
-    let n, _ = drop_readers s c ~save:false in
-    List.iter
-      (fun (e, masks, cells, verdict) ->
-        e.masks <- masks;
-        e.cells <- cells;
-        e.verdict <- verdict;
-        e.valid <- true)
-      p_saved;
-    s.patches_seen <- p_stamp;
-    s.patch_events <- s.patch_events + 1;
-    count_opt k.c_patches;
-    add_opt k.c_invalidated n;
-    add_opt k.c_reused (List.length p_saved)
-  end
-  else ignore (invalidate k s c)
-
-(* ------------------------------------------------------------------ *)
 (* Retargeting and stepping: the same compiled kernel and scratch, a new
    table of the same shape.  Everything shape-dependent (trie,
    partitions, ranks, buffer sizes) carries over; the tables are
-   overwritten in place.  The patch clock restarts, and the epoch bump
-   voids every outstanding patch token. *)
+   overwritten in place. *)
 
 (* The part both share: check the shape, flush the tallies into the
    old counters and bind the new ones. *)
@@ -803,50 +672,52 @@ let retarget ?obs k s ty =
   fill_tables ty ~no:k.no k.next k.resp;
   Array.iter (fun row -> Array.fill row 0 (Array.length row) dummy_entry) s.rows;
   s.track <- false;
-  s.patches_seen <- 0;
   s.hint.(0) <- -1;
-  s.hint.(1) <- -1;
-  s.epoch <- s.epoch + 1
+  s.hint.(1) <- -1
 
 (* Step keeps every entry the new table cannot change.  A valid entry's
    [cells] are the cells its fold read, so a fold on a table that agrees
    with the old one on those cells reads the same cells in the same
    order and yields the same masks — and the verdict is a function of
    the masks.  One pass over the allocated rows drops the valid entries
-   whose [cells] meet the changed cells, as [patch] does for one cell;
-   an untracked scratch has no [cells] to consult, so its first step
-   drops every entry and switches tracking on (the first-patch rule).
+   whose [cells] meet the changed cells, and never an entry for a cell
+   it no longer reads; an untracked scratch has no [cells] to consult,
+   so its first step drops every valid entry and switches tracking on.
    The hints stay: [exists] re-verifies them before trusting them. *)
 let step ?obs k s ty =
   rebind ?obs "step" k s ty;
-  let changed = Array.make s.cell_words 0 in
+  let changed = Array.make s.cell_words 0 and any = ref false in
   for v = 0 to k.nv - 1 do
     for o = 0 to k.no - 1 do
       let r, v' = ty.Objtype.delta v o and c = (v * k.no) + o in
       if k.resp.(c) <> r || k.next.(c) <> v' then begin
         k.resp.(c) <- r;
         k.next.(c) <- v';
-        changed.(c lsr 5) <- changed.(c lsr 5) lor (1 lsl (c land 31))
+        changed.(c lsr 5) <- changed.(c lsr 5) lor (1 lsl (c land 31));
+        any := true
       end
     done
   done;
-  if not s.track then begin
-    ignore (drop_readers s (-1) ~save:false);
-    s.track <- true
-  end
-  else if Array.exists (fun w -> w <> 0) changed then
-    Array.iter
-      (Array.iter (fun e ->
-           if e.valid then begin
-             let w = ref 0 in
-             while !w < s.cell_words && e.cells.(!w) land changed.(!w) = 0 do
-               incr w
-             done;
-             if !w < s.cell_words then e.valid <- false
-           end))
-      s.rows;
-  s.patches_seen <- 0;
-  s.epoch <- s.epoch + 1
+  let all = not s.track and dropped = ref 0 in
+  s.track <- true;
+  if all || !any then
+    for ri = 0 to Array.length s.rows - 1 do
+      let row = s.rows.(ri) in
+      for j = 0 to Array.length row - 1 do
+        let e = row.(j) in
+        if e.valid then begin
+          let w = ref 0 in
+          while (not all) && !w < s.cell_words && e.cells.(!w) land changed.(!w) = 0 do
+            incr w
+          done;
+          if all || !w < s.cell_words then begin
+            e.valid <- false;
+            incr dropped
+          end
+        end
+      done
+    done;
+  add_opt k.c_invalidated !dropped
 
 let to_objtype ?name k =
   let name = match name with Some n -> n | None -> k.ty.Objtype.name in
@@ -944,9 +815,9 @@ let search_range k s cond ~lo ~hi ~stop =
    candidate space by process renaming: each (u, sorted op multiset) is
    one slot, folded once, whose verdict ([some_split_holds]) is kept on
    its entry.  A scan is then one validity check per slot whose entry
-   survived the patches since, and the previous witnessing slot is
-   re-verified first: a patch rarely breaks it, so on the synthesizer's
-   hot path an existence query is usually one probe. *)
+   survived the steps since, and the previous witnessing slot is
+   re-verified first: a one-cell step rarely breaks it, so on the
+   synthesizer's hot path an existence query is usually one probe. *)
 let entry_holds k s cond ~u r =
   let e = lookup k s cond ~u r in
   match e.verdict with
@@ -1032,7 +903,14 @@ let exists ?below k s cond =
       if kb.n <> k.n - 1 then
         invalid_arg
           (Printf.sprintf "Kernel.exists: below is compiled at n = %d, expected %d" kb.n (k.n - 1));
-      if kb.next <> k.next || kb.resp <> k.resp then
+      let same (a : int array) b =
+        let i = ref 0 in
+        while !i < Array.length a && a.(!i) = b.(!i) do
+          incr i
+        done;
+        !i = Array.length a
+      in
+      if not (same kb.next k.next && same kb.resp k.resp) then
         invalid_arg "Kernel.exists: below decides a different table";
       if Array.length s.sub_rank = 0 then s.sub_rank <- sub_ranks k);
   let slot = match cond with Recording -> 0 | Discerning -> 1 in

@@ -39,8 +39,8 @@
       representative team split per sub-multiset (T_0 takes the first
       slots of each op's run; splits with the same per-op counts are
       images of one another under swaps of same-op slots, which fix the
-      fold).  The entry keeps that verdict, so a re-scan of a patched
-      scratch costs one validity check per entry the patches spared.
+      fold).  The entry keeps that verdict, so a re-scan of a stepped
+      scratch costs one validity check per entry the steps spared.
       Given the same table at [n - 1] processes, it also skips every
       entry whose one-smaller sub-multisets refute it (the ladder; see
       {!exists}).
@@ -54,16 +54,17 @@
 
     Ownership.  A compiled {!t} that is only searched is safe to share
     across domains, each worker with its own {!scratch}; the kernel's
-    counters are bumped from per-scratch tallies, once per call.  Four
-    operations mutate a kernel's flat tables in place, and a kernel any
-    of them has touched is paired with one scratch and confined to one
+    counters are bumped from per-scratch tallies, once per call.  Two
+    operations mutate a kernel's flat tables in place, and a kernel
+    either has touched is paired with one scratch and confined to one
     domain — never share it, and never use a second scratch on it (the
     other scratch's entries would silently describe the old tables):
-    {!patch} / {!unpatch}, the synthesizer's one-cell warm-start edits,
-    {!retarget}, which swaps in a whole new table of the same shape
-    so a census compiles one kernel and scratch per (domain, [n]) and
-    reuses them for every table it decides, and {!step}, which does the
-    same but keeps the evaluations the new table cannot change. *)
+    {!retarget}, which swaps in a whole new table of the same shape so a
+    census compiles one kernel and scratch per (domain, [n]) and reuses
+    them for every table it decides, and {!step}, which does the same
+    but keeps the evaluations the new table cannot change — the census
+    chain's move from table to table and the synthesizer's from
+    candidate to candidate. *)
 
 type condition = Discerning | Recording
 (** Re-exported by [Decide]; defined here so the kernel does not depend
@@ -99,16 +100,19 @@ val compile : ?obs:Obs.t -> Objtype.t -> n:int -> t
     candidate space.  With [obs], resolves the kernel counters
     [decide.trie_nodes] (nodes of freshly built tries),
     [decide.kernel_evals] (trie folds, one per [(condition, u)] and
-    sorted op multiset the scratch did not hold: a full scan of an
-    unpatched scratch makes at most [num_values * C(num_ops + n - 1, n)]
-    per condition) and [decide.partitions_pruned] (visits answered from
-    a memoized evaluation, skipping schedule replay entirely) in that
+    sorted op multiset the scratch did not hold: a full scan of a fresh
+    scratch makes at most [num_values * C(num_ops + n - 1, n)] per
+    condition) and [decide.partitions_pruned] (visits answered from a
+    memoized evaluation, skipping schedule replay entirely) in that
     context's registry, and [decide.entries_skipped] ({!exists}
     entries passed without a fold).  A visit is one candidate in
     {!search_range} and {!check}, one [(u, multiset)] entry in
     {!exists}; every visit counts in exactly one of the three, and
     {!search_range} and {!check} skip nothing, so there the sum of the
-    first two does not depend on the memo.
+    first two does not depend on the memo.  Two more count the
+    {!step} memo: [kernel.masks_invalidated] (entries a step dropped)
+    and [kernel.masks_reused] (the memo hits among the visits on a
+    scratch that has been stepped, so tracks cells).
     @raise Invalid_argument when [n < 2]. *)
 
 val warm_trie : ?obs:Obs.t -> nprocs:int -> unit -> unit
@@ -140,31 +144,39 @@ val retarget : ?obs:Obs.t -> t -> scratch -> Objtype.t -> unit
     as [compile ?obs] would bind them.  Afterwards [k] and [s] answer
     every query, and count every counter, byte-identically to
     [compile ?obs ty ~n] with a fresh scratch; {!to_objtype}'s default
-    name becomes [ty]'s.  Patch tokens taken before the retarget are
-    void ({!unpatch} rejects them).  {!step} is the variant that keeps
+    name becomes [ty]'s.  {!step} is the variant that keeps
     evaluations; a retarget is the fresh start of a census chain.
     @raise Invalid_argument when [ty]'s [(num_values, num_ops,
     num_responses)] differ from the compiled type's. *)
 
 val step : ?obs:Obs.t -> t -> scratch -> Objtype.t -> unit
 (** [step ?obs k s ty] makes [k] decide [ty] like {!retarget}, but
-    keeps every evaluation [ty] cannot change: the flat tables are
+    keeps every evaluation [ty] cannot change.  The flat tables are
     overwritten from [ty.delta], and one pass over [s]'s allocated rows
-    invalidates exactly the valid entries whose read-cell set meets the
-    cells where [ty] differs from the tables [k] held (the delta
-    invalidation of {!patch}, for many cells at once).  A kept entry
+    {e delta-invalidates} the evaluation table: while tracking is on,
+    every entry records (as a small bitset) which table cells its trie
+    fold read, and the step drops exactly the valid entries whose
+    bitset meets the cells where [ty] differs from the tables [k] held —
+    [O(allocated slots)] bit tests, never an entry for a cell it no
+    longer reads, and nothing at all when no cell changed.  A kept entry
     keeps its masks and its {!exists} verdict: a fold that reads no
     changed cell gives the same masks, and the verdict is a function of
     the masks.  If [s] was not tracking cells (a fresh or {!retarget}ed
-    scratch), the step instead invalidates every entry and switches
-    tracking on — the first-patch rule.  Counters are rebound as
-    {!retarget} rebinds them, the {!exists} hints are kept (they are
-    re-verified before use), and patch tokens taken before the step are
-    void.  Afterwards [k] and [s] answer every query byte-identically
-    to [compile ty ~n] with a fresh scratch; the counts differ, since a
-    kept entry is a memo hit where a fresh compile folds.  A census
+    scratch), the step instead drops every valid entry and switches
+    tracking on.  Counters are rebound as {!retarget} rebinds them, the
+    dropped entries are added to [kernel.masks_invalidated] (one add per
+    step), and the {!exists} hints are kept (they are re-verified before
+    use).
+
+    Contract, pinned by the qcheck differential suite: after {e any}
+    sequence of steps, in any order and back to any earlier table, [k]
+    and [s] answer {!search_range}, {!exists} (with or without
+    [below]) and {!check} byte-identically to [compile ty ~n] with a
+    fresh scratch, and {!stale_entries} is [0]; the counts differ, since
+    a kept entry is a memo hit where a fresh compile folds.  A census
     steps its per-[n] kernels from table to table
-    ([Engine.census_levels ~chain]).
+    ([Engine.census_levels ~chain]), the synthesizer its per-level
+    kernels from candidate to candidate ([Synth.search]).
     @raise Invalid_argument when [ty]'s shape differs from the compiled
     type's. *)
 
@@ -211,7 +223,7 @@ val exists : ?below:t * scratch -> t -> scratch -> condition -> bool
     fill on the same scratch, so a multiset they folded is not folded
     again.  A re-scan answers each entry still valid with one check, and
     the scratch remembers the last witnessing entry per condition and
-    re-verifies it first, so on a patched kernel whose witness survived
+    re-verifies it first, so on a stepped kernel whose witness survived
     the edit this costs one probe.
 
     Two rules pass an entry without folding it (counted in
@@ -230,8 +242,8 @@ val exists : ?below:t * scratch -> t -> scratch -> condition -> bool
       verdicts there; [below]'s counters count them.
     The answer is the same with or without [below].  The decision point
     of the census ([Engine.census_levels], with [below] from [n = 3]) and
-    of the incremental synthesizer ([Synth.search]'s warm fitness,
-    without).
+    of the incremental synthesizer ([Synth.search]'s warm fitness, with
+    [below] on its two upper levels).
     @raise Invalid_argument when [below] is not compiled at [n - 1] or
     its transition tables differ from [k]'s. *)
 
@@ -248,55 +260,10 @@ val check :
     on the same candidate.  @raise Invalid_argument when [team] or
     [ops] does not have [n] entries. *)
 
-(** {2 Incremental patching}
-
-    The synthesizer's hill climb moves between transition tables that
-    differ in one cell.  Instead of recompiling a kernel per candidate,
-    {!patch} edits one cell of the live tables and {e delta-invalidates}
-    the scratch's evaluation table: every memoized per-[(u, cops)] mask
-    records (as a small bitset, while tracking is on) which table cells
-    its trie fold read, and a patch walks the scratch's allocated rows
-    and flips off exactly the valid entries whose bitset has the edited
-    cell — [O(allocated slots)] bit tests, not a table reset, and never
-    an entry that no longer reads the cell.  The {!exists}
-    verdicts kept on the entries ride on the same validity bits.
-    {!unpatch} restores the previous entries (masks and verdicts) from
-    the returned token, so a rejected mutation costs two cell writes
-    plus the invalidations.  The snapshot-reviving fast path
-    applies when nothing else was patched between a token's creation
-    and its unpatch (the synthesizer's reject cycle); any intervening
-    patch/unpatch — nested tokens, out-of-LIFO-order release — degrades
-    that token to plain invalidation, still correct, just re-evaluating
-    on demand.
-
-    The first patch on a scratch invalidates every entry once (cells
-    were not yet being tracked) and switches tracking on.
-
-    Correctness contract, pinned by the qcheck differential suite: after
-    {e any} sequence of patch/unpatch, the kernel answers {!search_range},
-    {!exists} and {!check} byte-identically to a fresh {!compile} of the
-    mutated type ({!to_objtype}). *)
-
-type patch
-(** Undo token: the previous contents of a patched cell. *)
-
-val patch :
-  t -> scratch -> cell:Objtype.value * Objtype.op -> entry:Objtype.response * Objtype.value -> patch
-(** [patch k s ~cell:(v, op) ~entry:(r, v')] makes [delta v op = (r, v')]
-    in the compiled tables and invalidates the affected evaluations in
-    [s]'s table.  With [obs] (at {!compile}) counts [kernel.patches] and
-    [kernel.masks_invalidated]; memo hits that survive a patch count as
-    [kernel.masks_reused].  @raise Invalid_argument out of range. *)
-
-val unpatch : t -> scratch -> patch -> unit
-(** Restore the cell a {!patch} call rewrote (same invalidation cost).
-    @raise Invalid_argument when [s] has been {!retarget}ed or
-    {!step}ped since the token was taken. *)
-
 val to_objtype : ?name:string -> t -> Objtype.t
-(** The type the kernel's {e current} tables decide — after patches, the
-    mutated type (the [ty] passed to {!compile} is stale then).  Default
-    [name] is the compiled type's. *)
+(** The type the kernel's {e current} tables decide — after a {!step} or
+    {!retarget}, the new type.  Default [name] is that of the type last
+    compiled, retargeted or stepped to. *)
 
 val count : Objtype.t -> n:int -> int
 (** Closed-form size of the pruned candidate space:

@@ -372,4 +372,5 @@ val synth_portfolio :
     [Synth.search]'s warm-start vs from-scratch mode — same results
     either way); the climb parameters stay keywords because they are
     synthesis-specific, not engine-wide.  [obs] additionally feeds each
-    climb's [synth.evals] / [synth.sym_skips] and kernel patch counters. *)
+    climb's [synth.evals] / [synth.sym_skips] and the kernel's decide.* and
+    step-memo counters. *)

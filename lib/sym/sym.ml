@@ -43,13 +43,12 @@ type t = {
   size : int option;  (* base ^ cells; [None] when it overflows [max_int] *)
 }
 
-let rec fact n = if n <= 1 then 1 else n * fact (n - 1)
-
-(* values! * ops! * responses! with overflow detection: multiply the
+(* [init * d_1! * d_2! * ...] with overflow detection: multiply the
    factors [2 .. d] of each dimension one by one, saturating to [None]
    (the synthesizer's symmetry memo canonizes in spaces whose group
-   order far exceeds [max_int]). *)
-let group_checked dims =
+   order far exceeds [max_int]).  The group order is [values! * ops! *
+   responses!]. *)
+let factorials_checked ?(init = 1) dims =
   List.fold_left
     (fun acc d ->
       let acc = ref acc in
@@ -57,7 +56,7 @@ let group_checked dims =
         acc := (match !acc with Some a when a <= max_int / f -> Some (a * f) | _ -> None)
       done;
       !acc)
-    (Some 1) dims
+    (Some init) dims
 
 let make ~values ~ops ~responses =
   if values < 1 || ops < 1 || responses < 1 then
@@ -77,7 +76,7 @@ let make ~values ~ops ~responses =
     done;
     !acc
   in
-  { values; ops; responses; cells; base; group = group_checked [ values; ops; responses ]; size }
+  { values; ops; responses; cells; base; group = factorials_checked [ values; ops; responses ]; size }
 
 let values t = t.values
 let ops t = t.ops
@@ -317,7 +316,9 @@ let canonize t tbl =
       (* vperm is reused in place across op placements below, but only
          read inside try_pair before the next mutation — safe. *)
       iter_class_perms oc (fun operm -> try_pair vperm operm));
-  let aut = !m * fact (r - used) in
+  (* The unused response labels permute freely; [-1] past [max_int],
+     where the group order overflows too. *)
+  let aut = Option.value ~default:(-1) (factorials_checked ~init:!m [ r - used ]) in
   let orbit =
     match t.group with
     | Some g ->

@@ -74,7 +74,10 @@ type canon = {
   form : (int * int) array;  (** the canonical table of the orbit *)
   index : int;  (** rank of [form] — equal across the whole orbit; [-1] on an unrankable space *)
   orbit : int;  (** orbit size; orbit sizes over all classes sum to {!space_size}; [-1] when {!group_order} overflows *)
-  aut : int;  (** automorphism count; [orbit * aut = group_order] *)
+  aut : int;
+      (** automorphism count; [orbit * aut = group_order]; [-1] when it
+          overflows [max_int] (the group order then overflows too, so
+          [orbit] is [-1] as well) *)
 }
 
 val canonize : t -> (int * int) array -> canon

@@ -45,11 +45,11 @@ let random_genome rng space =
           (Random.State.int rng space.num_responses, Random.State.int rng space.num_values));
   }
 
-(* One mutation draw: a table index and a *different* entry for it.
-   Rerolling until the entry changes never burns a fitness evaluation on
-   an identical genome (a space has at least 2 values and 2 responses,
-   so at least 3 other entries always exist). *)
-let mutate_draw rng g =
+(* One table index and a *different* entry for it.  Rerolling until the
+   entry changes never burns a fitness evaluation on an identical genome
+   (a space has at least 2 values and 2 responses, so at least 3 other
+   entries always exist). *)
+let mutate rng g =
   let i = Random.State.int rng (Array.length g.table) in
   let prev = g.table.(i) in
   let rec draw () =
@@ -58,12 +58,8 @@ let mutate_draw rng g =
     in
     if e = prev then draw () else e
   in
-  (i, draw ())
-
-let mutate rng g =
-  let i, e = mutate_draw rng g in
   let table = Array.copy g.table in
-  table.(i) <- e;
+  table.(i) <- draw ();
   { g with table }
 
 (* Orbit-invariant fingerprint of an RMW table: a cheap O(cells) hash
@@ -213,14 +209,10 @@ let default_max_iterations = 50_000
 let default_restart_every = 2_000
 
 (* One long-lived kernel + scratch per fitness level, held across the
-   whole search.  The climb mutates all levels with [Kernel.patch]
-   (cell [i] of the genome table is transition-table cell
-   [(i / num_rws, i mod num_rws)] — the Read column is never edited),
-   reverts rejected candidates with [Kernel.unpatch], and restarts
-   re-seed by bulk-patching the table diff; [table] mirrors what the
-   kernels currently encode. *)
-type level = { lk : Kernel.t; ls : Kernel.scratch }
-type warm = { levels : level array; table : (int * int) array }
+   whole search.  [at] is the genome table the level decides (genome
+   tables are never mutated, so it is compared physically); a level is
+   [Kernel.step]ped to a candidate's table at its first consultation. *)
+type level = { lk : Kernel.t; ls : Kernel.scratch; mutable at : (int * int) array }
 
 let search ?(seed = 0) ?(max_iterations = default_max_iterations)
     ?(restart_every = default_restart_every) ?(incremental = true) ?obs ?on_score
@@ -264,65 +256,64 @@ let search ?(seed = 0) ?(max_iterations = default_max_iterations)
      counts both, so a run's cost is bounded either way. *)
   let considered = ref 0 in
   let warm = ref None in
-  let cell_of i = (i / space.num_rws, i mod space.num_rws) in
-  (* Align the warm kernels with [g] — first call compiles them, later
-     calls (restarts) patch the diff. *)
-  let sync (g : genome) =
-    if incremental then
+  (* The fitness cascade of [fitness], decided against the warm kernels
+     as a census climbs its ladder: a level is stepped to [g] at its
+     first consultation (a cascade that short-circuits, or a symmetry
+     skip, never pays for the levels it does not read), and the two
+     upper levels decide with the level below as [~below] — recording at
+     [target - 1] over the recording entries of [target - 2], discerning
+     at [target] over the discerning entries of [target - 1].  Every
+     verdict is the one [fitness] reaches, so the score is too. *)
+  let fitness_warm (g : genome) =
+    let ty = lazy (to_objtype g) in
+    let levels =
       match !warm with
+      | Some levels -> levels
       | None ->
-          let ty = to_objtype g in
+          let ty = Lazy.force ty in
           let levels =
             Array.map
               (fun n ->
                 let lk = Kernel.compile ?obs ty ~n in
-                { lk; ls = Kernel.scratch lk })
+                { lk; ls = Kernel.scratch lk; at = g.table })
               [| target - 2; target - 1; target |]
           in
-          warm := Some { levels; table = Array.copy g.table }
-      | Some w ->
-          Array.iteri
-            (fun i e ->
-              if w.table.(i) <> e then begin
-                Array.iter
-                  (fun l -> ignore (Kernel.patch l.lk l.ls ~cell:(cell_of i) ~entry:e))
-                  w.levels;
-                w.table.(i) <- e
-              end)
-            g.table
-  in
-  (* The fitness cascade of [fitness], decided against the warm kernels.
-     [ensure l] brings level [l] up to the candidate being scored —
-     levels are patched lazily, at their first consultation, so a
-     cascade that short-circuits (or a symmetry skip) never pays the
-     patch/unpatch bookkeeping of the levels it does not read. *)
-  let fitness_warm ensure =
-    let w = match !warm with Some w -> w | None -> assert false in
-    let holds i cond =
-      ensure i;
-      Kernel.exists w.levels.(i).lk w.levels.(i).ls cond
+          warm := Some levels;
+          levels
+    in
+    let level i =
+      let l = levels.(i) in
+      if l.at != g.table then begin
+        Kernel.step ?obs l.lk l.ls (Lazy.force ty);
+        l.at <- g.table
+      end;
+      l
+    in
+    let holds ?below i cond =
+      let below = Option.map (fun b -> let l = level b in (l.lk, l.ls)) below in
+      let l = level i in
+      Kernel.exists ?below l.lk l.ls cond
     in
     let score = ref 0 in
     let pass w cond = if cond then score := !score + w in
     let rec_lo = holds 0 Kernel.Recording in
     pass weights.(0) rec_lo;
     if rec_lo then begin
-      let rec_hi = holds 1 Kernel.Recording in
+      let rec_hi = holds ~below:0 1 Kernel.Recording in
       pass weights.(1) (not rec_hi);
       if not rec_hi then begin
         let disc_lo = holds 1 Kernel.Discerning in
         pass weights.(2) disc_lo;
-        if disc_lo then pass weights.(3) (holds 2 Kernel.Discerning)
+        if disc_lo then pass weights.(3) (holds ~below:1 2 Kernel.Discerning)
       end
     end;
     !score
   in
-  let no_ensure (_ : int) = () in
-  let score ?(ensure = no_ensure) (g : genome) =
+  let score (g : genome) =
     incr considered;
     let eval () =
       bump c_evals;
-      if incremental then fitness_warm ensure else fitness ~target g
+      if incremental then fitness_warm g else fitness ~target g
     in
     let sc =
       let fp = fingerprint space g.table in
@@ -367,57 +358,11 @@ let search ?(seed = 0) ?(max_iterations = default_max_iterations)
     end
     else if stale >= restart_every then restart ()
     else begin
-      let i, entry = mutate_draw rng current in
-      let table = Array.copy current.table in
-      table.(i) <- entry;
-      let candidate = { current with table } in
-      (* Invariant at candidate boundaries: every level encodes
-         [w.table] (the accepted genome).  During scoring, level [l]
-         additionally carries the candidate's cell edit iff
-         [toks.(l) <> None]. *)
-      let toks = [| None; None; None |] in
-      let ensure l =
-        match !warm with
-        | Some w when toks.(l) = None ->
-            toks.(l) <-
-              Some (Kernel.patch w.levels.(l).lk w.levels.(l).ls ~cell:(cell_of i) ~entry)
-        | _ -> ()
-      in
-      let s =
-        if incremental then score ~ensure candidate else score candidate
-      in
-      let accept () =
-        if incremental then
-          match !warm with
-          | Some w ->
-              Array.iteri (fun l _ -> ensure l) w.levels;
-              w.table.(i) <- entry
-          | None -> ()
-      in
-      let reject () =
-        if incremental then
-          match !warm with
-          | Some w ->
-              Array.iteri
-                (fun l tok ->
-                  match tok with
-                  | Some t -> Kernel.unpatch w.levels.(l).lk w.levels.(l).ls t
-                  | None -> ())
-                toks
-          | None -> ()
-      in
-      if s > current_score then begin
-        accept ();
-        climb candidate s 0
-      end
-      else if s = current_score && Random.State.bool rng then begin
-        accept ();
-        climb candidate s (stale + 1)
-      end
-      else begin
-        reject ();
-        climb current current_score (stale + 1)
-      end
+      let candidate = mutate rng current in
+      let s = score candidate in
+      if s > current_score then climb candidate s 0
+      else if s = current_score && Random.State.bool rng then climb candidate s (stale + 1)
+      else climb current current_score (stale + 1)
     end
   and restart () =
     if !considered >= max_iterations then None
@@ -429,7 +374,6 @@ let search ?(seed = 0) ?(max_iterations = default_max_iterations)
             g
         | [] -> random_genome rng space
       in
-      sync g;
       climb g (score g) 0
     end
   in

@@ -102,10 +102,14 @@ val search :
 
     With [incremental] (the default), the search is a warm-start
     neighborhood search: one long-lived [Kernel.t] + scratch per fitness
-    level ([target - 2 .. target]) is held across the whole run, each
-    mutation is applied as a [Kernel.patch] (and a rejected one reverted
-    with [Kernel.unpatch]), restarts re-seed by bulk patch, and the
+    level ([target - 2 .. target]) is held across the whole run, and a
+    level is [Kernel.step]ped to a candidate's table at its first
+    consultation (a rejected candidate is left by stepping to the next
+    one, a restart by stepping to the new genome), so the
     delta-invalidated evaluation memos carry over between candidates.
+    The cascade climbs the levels as a census climbs its ladder: the
+    [target - 1] recording and [target] discerning queries decide with
+    the level below as [Kernel.exists ~below].
     [~incremental:false] recompiles kernels per fitness call — the
     ablation baseline.  Both modes draw identically from the RNG and
     score identical candidate sequences, so at a fixed seed the fitness
@@ -119,7 +123,7 @@ val search :
     fitness components are orbit invariants.  [obs] resolves the
     counters [synth.evals] (fitness evaluations actually run),
     [synth.sym_skips] (candidates served by the symmetry memo) and the
-    kernel's [kernel.patches] / [kernel.masks_invalidated] /
+    kernel's [decide.*] counters and [kernel.masks_invalidated] /
     [kernel.masks_reused].
 
     @raise Invalid_argument when [target < 4] or the space is degenerate. *)

@@ -915,99 +915,99 @@ let test_exists_recording_implies_discerning () =
     spaces;
   check_bool "some types are recording" true (!recording > 0)
 
-let prop_patched_kernel_matches_fresh_compile =
-  (* The incremental-patching contract (the synthesizer's warm-start
-     search leans on it): after any patch/unpatch sequence, the patched
-     kernel answers every query byte-identically to a fresh compile of
-     the mutated type — both conditions, at n = 2 and 3.  Tokens are
-     mostly released LIFO (the quiet-window restore) but sometimes out
-     of order, which forces the plain-invalidation fallback; an unpatch
-     writes back the entry its own patch replaced, whatever the cell
-     holds by then; every out-of-order release is followed by an
-     interrogation.  The shadow table tracks what the kernel's cells must
-     currently hold; interrogations mid-sequence exercise memo churn
-     (entries invalidated by one edit, revalidated by its revert). *)
+let prop_stepped_back_and_forth_matches_fresh_compile =
+  (* The synthesizer's contract: kernels at n = 2 and 3, stepped in
+     lockstep ([Kernel.step]) along a walk of same-shape tables — each
+     one cell away from the last (a candidate), or back to a randomly
+     chosen earlier table of the walk (a rejected candidate's return,
+     in any order) — answer every query after every step
+     byte-identically to a fresh compile of the table: [exists] at both
+     n, at n = 3 with and without [~below] in a random order, and full
+     [search_range] scans.  Every entry a step keeps valid must hold
+     what a fresh fold gives ([Kernel.stale_entries] is 0 right after
+     the step and again after the queries).  The memos are populated
+     before the first step, which drops the untracked entries. *)
   let arbitrary = QCheck.make ~print:string_of_int QCheck.Gen.int in
-  QCheck.Test.make ~name:"patched kernel matches a fresh compile" ~count:40 arbitrary
-    (fun case_seed ->
+  QCheck.Test.make ~name:"kernel stepped back and forth matches a fresh compile" ~count:40
+    arbitrary (fun case_seed ->
       let rng = Random.State.make [| case_seed; 0xe22 |] in
       let nv = 2 + Random.State.int rng 3 in
       let no = 2 + Random.State.int rng 2 in
       let nr = 2 + Random.State.int rng 2 in
-      let tbl =
-        Array.init (nv * no) (fun _ ->
-            (Random.State.int rng nr, Random.State.int rng nv))
-      in
       let mk t =
-        Objtype.make ~name:"patched" ~num_values:nv ~num_ops:no ~num_responses:nr
-          (fun v o -> t.((v * no) + o))
+        let t = Array.copy t in
+        Objtype.make ~name:"stepped" ~num_values:nv ~num_ops:no ~num_responses:nr (fun v o ->
+            t.((v * no) + o))
       in
-      List.for_all
-        (fun n ->
-          let k = Kernel.compile (mk tbl) ~n in
-          let s = Kernel.scratch k in
-          (* Populate the memo before the first patch so delta
-             invalidation has live entries to hit. *)
-          ignore (Kernel.exists k s Kernel.Discerning);
-          ignore (Kernel.exists k s Kernel.Recording);
-          let shadow = Array.copy tbl in
-          let stack = ref [] in
-          let agrees () =
-            let mutated = mk (Array.copy shadow) in
-            Objtype.equal_behaviour (Kernel.to_objtype k) mutated
-            &&
-            let fresh = Kernel.compile mutated ~n in
-            let fs = Kernel.scratch fresh in
-            (* [exists] (entry-level verdicts, then the hint) against
-               the fresh compile's rank scan, then the rank scans. *)
-            List.for_all
-              (fun cond ->
-                let stop _ = false in
-                let scan = Kernel.search_range fresh fs cond ~lo:0 ~hi:(Kernel.total fresh) ~stop in
-                Kernel.exists k s cond = (fst scan <> None)
-                && Kernel.exists k s cond = (fst scan <> None)
-                && Kernel.search_range k s cond ~lo:0 ~hi:(Kernel.total k) ~stop = scan)
-              [ Kernel.Discerning; Kernel.Recording ]
-          in
-          let ok = ref true in
-          for _step = 0 to 31 do
-            let out_of_order = ref false in
-            (if !stack = [] || Random.State.int rng 3 > 0 then begin
-               let v = Random.State.int rng nv and o = Random.State.int rng no in
-               let r = Random.State.int rng nr and v' = Random.State.int rng nv in
-               let c = (v * no) + o in
-               let tok = Kernel.patch k s ~cell:(v, o) ~entry:(r, v') in
-               stack := (tok, c, shadow.(c)) :: !stack;
-               shadow.(c) <- (r, v')
-             end
-             else begin
-               (* One release in four picks a random live token. *)
-               let i =
-                 if Random.State.int rng 4 = 0 then Random.State.int rng (List.length !stack) else 0
-               in
-               let tok, c, prev = List.nth !stack i in
-               out_of_order := i > 0;
-               Kernel.unpatch k s tok;
-               shadow.(c) <- prev;
-               stack := List.filteri (fun j _ -> j <> i) !stack
-             end);
-            (* Always interrogate after an out-of-order release: it
-               discards the token's snapshots, verdicts included. *)
-            if Random.State.int rng 4 = 0 || !out_of_order then ok := !ok && agrees ()
-          done;
-          !ok && agrees ())
-        [ 2; 3 ])
+      let tbl = Array.init (nv * no) (fun _ -> (Random.State.int rng nr, Random.State.int rng nv)) in
+      let k2 = Kernel.compile (mk tbl) ~n:2 and k3 = Kernel.compile (mk tbl) ~n:3 in
+      let s2 = Kernel.scratch k2 and s3 = Kernel.scratch k3 in
+      let conds = [ Kernel.Discerning; Kernel.Recording ] in
+      List.iter
+        (fun cond ->
+          ignore (Kernel.exists k2 s2 cond);
+          ignore (Kernel.exists k3 s3 cond))
+        conds;
+      let agrees ty =
+        let scan n cond =
+          let f = Kernel.compile ty ~n in
+          Kernel.search_range f (Kernel.scratch f) cond ~lo:0 ~hi:(Kernel.total f)
+            ~stop:(fun _ -> false)
+        in
+        List.for_all
+          (fun cond ->
+            let scan2 = scan 2 cond and scan3 = scan 3 cond in
+            let with_below () = Kernel.exists ~below:(k2, s2) k3 s3 cond = (fst scan3 <> None) in
+            let without () = Kernel.exists k3 s3 cond = (fst scan3 <> None) in
+            Kernel.exists k2 s2 cond = (fst scan2 <> None)
+            && (if Random.State.bool rng then with_below () && without ()
+                else without () && with_below ())
+            && Kernel.search_range k3 s3 cond ~lo:0 ~hi:(Kernel.total k3) ~stop:(fun _ -> false)
+               = scan3
+            && Kernel.search_range k2 s2 cond ~lo:0 ~hi:(Kernel.total k2) ~stop:(fun _ -> false)
+               = scan2)
+          conds
+      in
+      let walk = ref [ tbl ] and ok = ref true in
+      for _step = 0 to 31 do
+        let next =
+          if List.length !walk > 1 && Random.State.int rng 3 = 0 then
+            List.nth !walk (1 + Random.State.int rng (List.length !walk - 1))
+          else begin
+            let t = Array.copy (List.hd !walk) in
+            let c = Random.State.int rng (nv * no) in
+            let old = t.(c) in
+            while t.(c) = old do
+              t.(c) <- (Random.State.int rng nr, Random.State.int rng nv)
+            done;
+            t
+          end
+        in
+        walk := next :: !walk;
+        let ty = mk next in
+        Kernel.step k2 s2 ty;
+        Kernel.step k3 s3 ty;
+        ok :=
+          !ok
+          && Objtype.equal_behaviour (Kernel.to_objtype k3) ty
+          && Kernel.stale_entries k2 s2 = 0
+          && Kernel.stale_entries k3 s3 = 0
+          && agrees ty
+          && Kernel.stale_entries k2 s2 = 0
+          && Kernel.stale_entries k3 s3 = 0
+      done;
+      !ok)
 
 let prop_retargeted_kernel_matches_fresh_compile =
   (* The census reuse contract: one kernel and scratch, retargeted
-     through a random sequence of same-shape tables — with patches
-     (some still outstanding) and queries interleaved before some of the
-     retargets — answer every query after each retarget byte-identically
-     to a fresh compile, and count the decide.* counters identically
-     into the context the retarget names.  The first patch after each
-     retarget must invalidate as many memo entries as the same patch on
-     the fresh compile: an entry the retarget failed to forget would
-     inflate the count. *)
+     through a random sequence of same-shape tables — with steps and
+     queries interleaved before some of the retargets — answer every
+     query after each retarget byte-identically to a fresh compile, and
+     count the decide.* counters identically into the context the
+     retarget names.  The first step after each retarget must
+     invalidate as many memo entries as the same step on the fresh
+     compile: an entry the retarget failed to forget would inflate the
+     count. *)
   let arbitrary = QCheck.make ~print:string_of_int QCheck.Gen.int in
   QCheck.Test.make ~name:"retargeted kernel matches a fresh compile" ~count:40 arbitrary
     (fun case_seed ->
@@ -1053,17 +1053,11 @@ let prop_retargeted_kernel_matches_fresh_compile =
           let ok = ref true in
           for _step = 0 to 11 do
             (* Dirty the scratch first, sometimes: a warm memo with
-               verdicts on its entries, live patches (tokens left
-               outstanding). *)
+               verdicts on its entries, tracked cells from steps. *)
             if Random.State.bool rng then ignore (Kernel.exists k s Kernel.Recording);
             for _ = 1 to Random.State.int rng 4 do
-              let v = Random.State.int rng nv and o = Random.State.int rng no in
-              let tok =
-                Kernel.patch k s ~cell:(v, o)
-                  ~entry:(Random.State.int rng nr, Random.State.int rng nv)
-              in
-              ignore (Kernel.exists k s Kernel.Discerning);
-              if Random.State.bool rng then Kernel.unpatch k s tok
+              Kernel.step k s (mk ());
+              ignore (Kernel.exists k s Kernel.Discerning)
             done;
             let ty = mk () in
             let obs = Obs.create () and fresh_obs = Obs.create () in
@@ -1076,10 +1070,9 @@ let prop_retargeted_kernel_matches_fresh_compile =
               && Objtype.equal_behaviour (Kernel.to_objtype k) ty
               && answers k s probes = answers fresh fs probes
               && counts obs = counts fresh_obs;
-            let cell = (Random.State.int rng nv, Random.State.int rng no)
-            and entry = (Random.State.int rng nr, Random.State.int rng nv) in
-            ignore (Kernel.patch k s ~cell ~entry);
-            ignore (Kernel.patch fresh fs ~cell ~entry);
+            let next = mk () in
+            Kernel.step ~obs k s next;
+            Kernel.step ~obs:fresh_obs fresh fs next;
             let invalidated o = Obs.Metrics.Counter.value (Obs.counter o "kernel.masks_invalidated") in
             ok := !ok && invalidated obs = invalidated fresh_obs
           done;
@@ -1212,20 +1205,10 @@ let test_retarget_rejects () =
       ~num_ops:tas.Objtype.num_ops ~num_responses:tas.Objtype.num_responses (fun _ _ -> (0, 0))
   in
   Alcotest.(check bool) "different shape rejected" true (raises (fun () -> Kernel.retarget k s other));
-  (* [moved] differs from test-and-set in cell (0, 0) only, so a stale
-     unpatch that wrote its saved entry back would show. *)
-  let nv = tas.Objtype.num_values and nr = tas.Objtype.num_responses in
-  let r0, v0 = tas.Objtype.delta 0 0 in
-  let moved =
-    Objtype.make ~name:"moved" ~num_values:nv ~num_ops:tas.Objtype.num_ops ~num_responses:nr
-      (fun v o -> if v = 0 && o = 0 then ((r0 + 1) mod nr, (v0 + 1) mod nv) else tas.Objtype.delta v o)
-  in
-  let tok = Kernel.patch k s ~cell:(0, 0) ~entry:(0, 0) in
-  Kernel.retarget k s moved;
-  Alcotest.(check bool) "pre-retarget patch token rejected" true
-    (raises (fun () -> Kernel.unpatch k s tok));
-  Alcotest.(check bool) "tables untouched by the rejected unpatch" true
-    (Objtype.equal_behaviour (Kernel.to_objtype k) moved)
+  Alcotest.(check bool) "different shape rejected by step" true
+    (raises (fun () -> Kernel.step k s other));
+  Alcotest.(check bool) "tables untouched by the rejected calls" true
+    (Objtype.equal_behaviour (Kernel.to_objtype k) tas)
 
 let suite =
   [
@@ -1251,7 +1234,7 @@ let suite =
     Alcotest.test_case "closed-form counts match enumeration" `Quick test_count_closed_form;
     Alcotest.test_case "kernel rank/unrank walks the reference enumeration" `Quick
       test_kernel_rank_enumeration;
-    Alcotest.test_case "retarget rejects a different shape, voids tokens" `Quick
+    Alcotest.test_case "retarget rejects a different shape, keeps its tables" `Quick
       test_retarget_rejects;
     Alcotest.test_case "decider rejects n < 2" `Quick test_decider_rejects_small_n;
     Alcotest.test_case "lazy certificate stream" `Quick test_certificates_seq;
@@ -1267,7 +1250,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
     Alcotest.test_case "kernel matches the reference on multi-word value sets" `Quick
       test_kernel_multiword_values;
-    QCheck_alcotest.to_alcotest prop_patched_kernel_matches_fresh_compile;
+    QCheck_alcotest.to_alcotest prop_stepped_back_and_forth_matches_fresh_compile;
     QCheck_alcotest.to_alcotest prop_retargeted_kernel_matches_fresh_compile;
     QCheck_alcotest.to_alcotest prop_stepped_kernels_match_fresh_compile;
     Alcotest.test_case "rank steps agree with rank_sorted" `Quick test_rank_steps;

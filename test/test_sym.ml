@@ -41,6 +41,22 @@ let test_rigid_table () =
   check_int "orbit is the group" (Sym.group_order t) c.Sym.orbit;
   check_int "aut trivial" 1 c.Sym.aut
 
+(* The constant table of {2,2,r} is fixed by the op swap and by every
+   permutation of its r - 1 unused response labels: |Aut| = 2 * (r - 1)!,
+   which overflows [max_int] from r = 21 on.  The canonizer reports it
+   as [-1], like the orbit, never as a wrapped product. *)
+let test_constant_table_overflow () =
+  List.iter
+    (fun r ->
+      let c = Sym.canonize (Sym.make ~values:2 ~ops:2 ~responses:r) (Array.make 4 (0, 0)) in
+      check_int (Printf.sprintf "{2,2,%d} aut" r) (-1) c.Sym.aut;
+      check_int (Printf.sprintf "{2,2,%d} orbit" r) (-1) c.Sym.orbit)
+    [ 22; 181 ];
+  (* At r = 20 the group order (4 * 20!) overflows but |Aut| does not. *)
+  let c = Sym.canonize (Sym.make ~values:2 ~ops:2 ~responses:20) (Array.make 4 (0, 0)) in
+  check_int "{2,2,20} aut = 2 * 19!" (2 * 121645100408832000) c.Sym.aut;
+  check_int "{2,2,20} orbit" (-1) c.Sym.orbit
+
 (* --- bijection ------------------------------------------------------- *)
 
 let test_bijection () =
@@ -317,6 +333,7 @@ let suite =
   [
     ("constant table orbit", `Quick, test_constant_table);
     ("rigid table orbit", `Quick, test_rigid_table);
+    ("constant table aut past max_int", `Quick, test_constant_table_overflow);
     ("rank/unrank bijection matches census genomes", `Quick, test_bijection);
     ("canonize agrees with brute force on {2,2,2}", `Quick, test_brute_agreement);
     ("orbit sizes sum to the candidate count", `Quick, test_classes_partition);

@@ -84,21 +84,21 @@ let counter obs name =
   | _ -> 0
 
 let test_incremental_scratch_parity () =
-  (* The e22 exactness contract, in-suite: warm-start patched kernels
+  (* The e22 exactness contract, in-suite: warm-start stepped kernels
      and per-candidate recompilation draw identically from the RNG and
      must score every candidate identically — any divergence means a
-     patched kernel answered a query differently from a fresh compile.
+     stepped kernel answered a query differently from a fresh compile.
      The incremental run must also actually exercise the machinery:
-     evaluations, kernel patches, surviving memo entries and symmetry
-     skips all nonzero. *)
+     evaluations, ladder skips, invalidated and surviving memo entries
+     and symmetry skips all nonzero. *)
   let obs = Obs.create () in
   let w_inc, t_inc = run_search ~incremental:true ~obs () in
   let w_scr, t_scr = run_search ~incremental:false () in
   check_bool "trajectories identical" true (t_inc = t_scr);
   Alcotest.(check string) "outcomes identical" (witness_spec w_scr) (witness_spec w_inc);
   check_bool "evals counted" true (counter obs "synth.evals" > 0);
-  check_bool "patches applied" true (counter obs "kernel.patches" > 0);
-  check_bool "memo entries survived patches" true (counter obs "kernel.masks_reused" > 0);
+  check_bool "ladder skipped entries" true (counter obs "decide.entries_skipped" > 0);
+  check_bool "memo entries survived steps" true (counter obs "kernel.masks_reused" > 0);
   check_bool "masks invalidated" true (counter obs "kernel.masks_invalidated" > 0);
   check_bool "symmetry memo hit" true (counter obs "synth.sym_skips" > 0)
 
