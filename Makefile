@@ -32,6 +32,11 @@ check: build test inject-smoke stats-smoke soak-smoke serve-smoke dist-smoke syn
 # changed cell are refolded), so every count depends on the chunk layout
 # alone and must be equal at both job counts.  A seeded 500-table sample
 # of {3,2,2} runs the same engine sweep and is pinned the same way.
+# The {2,2,2} census runs once more with a --checkpoint ledger: the same
+# decide pins, one checkpoint flush per 32-rank chunk (each chunk is one
+# run of undecided ranks, merged through Dist_ledger.absorb and appended
+# as one Done record), nothing resumed, and histogram lines equal to the
+# run without a checkpoint.
 # A census decides through Kernel.exists, which walks (initial value,
 # sorted op multiset) entries, and counts each entry it visits once:
 # decide.kernel_evals if folded, decide.partitions_pruned if answered
@@ -61,6 +66,19 @@ stats-smoke: build
 	        --require-eq decide.kernel_evals=1772 \
 	        --require-eq decide.partitions_pruned=4830 \
 	        --require-eq decide.entries_skipped=4336 || exit 1; \
+	  rm -f $(SMOKE_DIR)/stats-smoke-ckpt-$$jobs.ledger; \
+	  ./_build/default/bin/rcn.exe census --values 2 --rws 2 --responses 2 --cap 4 \
+	    --jobs $$jobs --checkpoint $(SMOKE_DIR)/stats-smoke-ckpt-$$jobs.ledger --stats json \
+	    | tee $(SMOKE_DIR)/stats-smoke-ckpt-$$jobs.out \
+	    | ./_build/default/tools/stats_check.exe --require-eq census.tables=256 \
+	        --require-eq decide.kernel_evals=1772 \
+	        --require-eq decide.partitions_pruned=4830 \
+	        --require-eq decide.entries_skipped=4336 \
+	        --require-eq census.checkpoint_flushes=8 \
+	        --require-eq census.resume_skips=0 || exit 1; \
+	  grep -v '^{' $(SMOKE_DIR)/stats-smoke-census-$$jobs.out > $(SMOKE_DIR)/stats-smoke-census-$$jobs.hist; \
+	  grep -v '^{' $(SMOKE_DIR)/stats-smoke-ckpt-$$jobs.out \
+	    | diff $(SMOKE_DIR)/stats-smoke-census-$$jobs.hist - || exit 1; \
 	  ./_build/default/bin/rcn.exe census --values 3 --rws 2 --responses 2 --cap 4 \
 	    --sample 500 --seed 42 --jobs $$jobs --stats json \
 	    | tee $(SMOKE_DIR)/stats-smoke-sample-$$jobs.out \
@@ -78,7 +96,8 @@ stats-smoke: build
 	grep -v '^{' $(SMOKE_DIR)/stats-smoke-sample-1.out \
 	  | diff - $(SMOKE_DIR)/stats-smoke-sample-off.out
 	rm -f $(SMOKE_DIR)/stats-smoke.out $(SMOKE_DIR)/stats-smoke-census-*.out \
-	  $(SMOKE_DIR)/stats-smoke-sample-*.out
+	  $(SMOKE_DIR)/stats-smoke-census-*.hist $(SMOKE_DIR)/stats-smoke-ckpt-*.out \
+	  $(SMOKE_DIR)/stats-smoke-ckpt-*.ledger $(SMOKE_DIR)/stats-smoke-sample-*.out
 
 # Fixed-seed fault-injection campaign over the known-broken protocols
 # (register race, test-and-set under crashes, and T_{3,1}'s recoverable

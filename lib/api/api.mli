@@ -133,18 +133,18 @@ module Request : sig
   (** The most tables an exhaustive census without symmetry reduction
       may have, and the largest [sample]: [2^24 = 16,777,216], the size
       of the [{4,2,2}] space.  [Engine.census] and the distributed
-      coordinator keep per-rank progress arrays (tens of bytes a rank)
-      allocated before the first table is decided, and a sample also
-      keeps its drawn tables, so the next sizes up — [{4,3,2}] has
-      [68,719,476,736] tables — are refused up front and pointed at
+      coordinator each keep a one-byte coverage bitmap a rank, allocated
+      before the first table is decided, and a sample also keeps its
+      drawn digits (one [int] a cell), so the next sizes up — [{4,3,2}]
+      has [68,719,476,736] tables — are refused up front and pointed at
       [--sample]. *)
 
   val max_sym_census_tables : int
   (** The most tables an exhaustive census under [--sym on] may have:
-      [2^34 = 17,179,869,184].  There the per-rank arrays are per
-      isomorphism class, and what scales with the table count is
-      [Sym.classes]' sweep mark, one bit per (response pattern, value
-      column) pair and so at most one a table (2 GiB at the bound):
+      [2^34 = 17,179,869,184].  There the coverage bitmap and the class
+      arrays are per isomorphism class, and what scales with the table
+      count is [Sym.classes]' sweep mark, one bit per (response pattern,
+      value column) pair and so at most one a table (2 GiB at the bound):
       [{5,2,2}] ([10^10] tables, a 625 MB mark) is accepted and
       [{4,3,2}] is not. *)
 

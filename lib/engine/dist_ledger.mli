@@ -119,11 +119,11 @@ val absorb :
   hi:int ->
   (int * int * int) list ->
   bool
-(** The trust predicate for one [Done] range, shared by {!replay_done}
-    and the live coordinator: [true] iff [\[lo, hi)] lies in range,
-    overlaps no rank already marked in [covered], and its counts sum to
-    [weight ~lo ~hi] — in which case the ranks are marked ['\001'] and
-    the counts added to [hist]. *)
+(** The trust predicate for one [Done] range, shared by {!replay_done},
+    the live coordinator and [Engine.census]: [true] iff [\[lo, hi)]
+    lies in range, overlaps no rank already marked in [covered], and its
+    counts sum to [weight ~lo ~hi] — in which case the ranks are marked
+    ['\001'] and the counts added to [hist]. *)
 
 val replay_done :
   total:int ->

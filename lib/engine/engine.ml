@@ -351,14 +351,6 @@ let scan ?cache ?obs ?(cap = Numbers.default_cap) ?deadline ?supervisor ?kernel 
   in
   loop 2 None
 
-let max_discerning ?cache ?obs ?supervisor ~(config : Api.Config.t) pool t =
-  scan ?cache ?obs ~cap:config.Api.Config.cap ?deadline:(resolve_deadline config)
-    ?supervisor ~kernel:config.Api.Config.kernel pool Decide.Discerning t
-
-let max_recording ?cache ?obs ?supervisor ~(config : Api.Config.t) pool t =
-  scan ?cache ?obs ~cap:config.Api.Config.cap ?deadline:(resolve_deadline config)
-    ?supervisor ~kernel:config.Api.Config.kernel pool Decide.Recording t
-
 (* [analyze_abs] takes the already-resolved deadline so a batch
    ([analyze_all]) shares one budget instead of restarting it per type. *)
 let analyze_abs ?cache ?obs ?deadline ?supervisor ~cap ~kernel pool t =
@@ -568,20 +560,6 @@ type census_run = {
   storage_error : string option;
 }
 
-let add_count hist key w =
-  Hashtbl.replace hist key (w + Option.value ~default:0 (Hashtbl.find_opt hist key))
-
-(* A decided rank's (discerning, recording) levels, one byte each at
-   [2i] and [2i + 1].  [Char.chr] raises on a level above 255 instead of
-   truncating it; no census reaches one (deciding it would take the
-   at-most-once trie of 256 processes). *)
-let set_levels levels i (d, r) =
-  Bytes.set levels (2 * i) (Char.chr d);
-  Bytes.set levels ((2 * i) + 1) (Char.chr r)
-
-let get_levels levels i =
-  (Char.code (Bytes.get levels (2 * i)), Char.code (Bytes.get levels ((2 * i) + 1)))
-
 let census ?cache ?obs ?supervisor ?sample ?checkpoint ?(resume = false)
     ?(durable = false) ?injector ~(config : Api.Config.t) pool space =
   if sample <> None && (checkpoint <> None || resume || durable) then
@@ -600,7 +578,6 @@ let census ?cache ?obs ?supervisor ?sample ?checkpoint ?(resume = false)
   let rs = census_ranks ?obs ?sample ~sym:config.Api.Config.sym space in
   let ranks = rs.ranks in
   let size = rs.weight ~lo:0 ~hi:ranks in
-  let weight i = rs.weight ~lo:i ~hi:(i + 1) in
   warm_census ?obs cache ~kernel ~cap;
   (* The checkpoint is a census ledger: a header, then one [Done] record
      per run of freshly decided ranks.  Resume trusts exactly what
@@ -615,55 +592,43 @@ let census ?cache ?obs ?supervisor ?sample ?checkpoint ?(resume = false)
         Dist_ledger.open_ledger ?obs ?injector ~fsync:durable ~expected ~resume path)
       checkpoint
   in
-  let covered, histogram, resumed =
-    match ledger with
-    | Some (_, records) ->
-        let covered, hist, n, _ =
-          Dist_ledger.replay_done ~total:ranks ~weight:rs.weight records
-        in
-        (covered, hist, n)
-    | None -> (Bytes.make ranks '\000', Hashtbl.create 64, 0)
+  (* A fresh census is the resume of an empty ledger.  From here on the
+     coordinator's merge: a rank is covered exactly when its levels are
+     in [histogram], and every decided run enters both through
+     [Dist_ledger.absorb]. *)
+  let covered, histogram, resumed, _ =
+    Dist_ledger.replay_done ~total:ranks ~weight:rs.weight
+      (match ledger with Some (_, records) -> records | None -> [])
   in
   count_checked c_skips resumed;
-  (* One state byte a rank in [covered]: ['\000'] undecided, ['\001']
-     resumed from the progress file, ['\002'] decided and recorded in
-     it, ['\003'] decided and not (yet) recorded.  Two level bytes a
-     rank in [levels]. *)
-  let levels = Bytes.make (2 * ranks) '\000' in
-  let completed = Atomic.make resumed in
+  let completed = ref resumed in
   let m = Mutex.create () in
-  (* Append one [Done] per maximal run of ranks in [\[lo, stop)] decided
-     but not yet in the file — every rank there is decided by now, so a
-     chunk cut by the deadline records exactly its decided prefix — and
-     mark them ['\002'], so a chunk re-run by a supervisor retry or a
-     watchdog round never records a rank twice.
-     A failed append degrades the ledger (sticky, counted) instead of
-     raising: the census finishes in memory and reports
-     [storage_error]. *)
-  let record_chunk led lo stop =
-    let i = ref lo in
-    while !i < stop do
-      if Bytes.get covered !i <> '\003' then incr i
-      else begin
-        let a = !i in
-        let hist = Hashtbl.create 8 in
-        while !i < stop && Bytes.get covered !i = '\003' do
-          add_count hist (get_levels levels !i) (weight !i);
-          Bytes.set covered !i '\002';
-          incr i
-        done;
-        let entries =
-          List.map
-            (fun (e : Census.entry) ->
-              (e.Census.discerning, e.Census.recording, e.Census.count))
-            (Census.of_histogram hist)
+  (* Commit the decided run [\[lo, hi)] with its histogram [run]: merge
+     it, count it and append its [Done].  A rank is only ever decided by
+     the chunk that finds it uncovered, and a chunk re-run by a supervisor
+     retry or a watchdog round skips what an earlier attempt committed, so
+     [absorb] cannot refuse a run.  A failed append degrades the ledger
+     (sticky, counted) instead of raising: the census finishes in memory
+     and reports [storage_error]. *)
+  let commit lo hi run =
+    let entries =
+      List.map
+        (fun (e : Census.entry) -> (e.Census.discerning, e.Census.recording, e.Census.count))
+        (Census.of_histogram run)
+    in
+    count_checked c_tables (hi - lo);
+    Mutex.protect m (fun () ->
+        let fresh =
+          Dist_ledger.absorb ~covered ~hist:histogram ~weight:rs.weight ~lo ~hi entries
         in
-        Mutex.protect m (fun () ->
-            Dist_ledger.append led (Dist_ledger.Done { lo = a; hi = !i; entries });
+        assert fresh;
+        completed := !completed + rs.weight ~lo ~hi;
+        Option.iter
+          (fun (led, _) ->
+            Dist_ledger.append led (Dist_ledger.Done { lo; hi; entries });
             if Dist_ledger.degraded led = None then
               Option.iter Obs.Metrics.Counter.incr c_flushes)
-      end
-    done
+          ledger)
   in
   Fun.protect
     ~finally:(fun () ->
@@ -677,27 +642,29 @@ let census ?cache ?obs ?supervisor ?sample ?checkpoint ?(resume = false)
            ~should_stop:(fun () -> expired deadline || wd_stop ())
            ranks
            (fun lo hi ->
+             (* Decide each maximal run of uncovered ranks into its own
+                histogram and commit it whole; a deadline cut commits the
+                decided prefix of the run it interrupts. *)
              let chain = census_chain () in
-             let fresh = ref 0 and fresh_weight = ref 0 in
              let i = ref lo in
              while !i < hi && not (expired deadline) do
-               if Bytes.get covered !i = '\000' then begin
-                 set_levels levels !i
-                   (census_levels ?obs ~chain cache ~kernel ~cap
-                      (Synth.to_objtype (rs.genome !i)));
-                 Bytes.set covered !i '\003';
-                 incr fresh;
-                 fresh_weight := !fresh_weight + weight !i
-               end;
-               incr i
-             done;
-             ignore (Atomic.fetch_and_add completed !fresh_weight);
-             count_checked c_tables !fresh;
-             Option.iter (fun (led, _) -> record_chunk led lo !i) ledger)));
-  for i = 0 to ranks - 1 do
-    if Bytes.get covered i >= '\002' then add_count histogram (get_levels levels i) (weight i)
-  done;
-  let completed = Atomic.get completed in
+               if Bytes.get covered !i <> '\000' then incr i
+               else begin
+                 let a = !i and run = Hashtbl.create 8 in
+                 while !i < hi && Bytes.get covered !i = '\000' && not (expired deadline) do
+                   let key =
+                     census_levels ?obs ~chain cache ~kernel ~cap
+                       (Synth.to_objtype (rs.genome !i))
+                   in
+                   let w = rs.weight ~lo:!i ~hi:(!i + 1) in
+                   Hashtbl.replace run key
+                     (w + Option.value ~default:0 (Hashtbl.find_opt run key));
+                   incr i
+                 done;
+                 if !i > a then commit a !i run
+               end
+             done)));
+  let completed = !completed in
   {
     entries = Census.of_histogram histogram;
     total = size;

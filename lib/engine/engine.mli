@@ -13,10 +13,11 @@
       rank below the final minimum has been checked and refuted, so the
       returned certificate is exactly the sequential first witness.  At
       one job without a supervisor the whole space is one chunk.
-    - {!census} writes each table's (discerning, recording) levels into
-      its own slot of a preallocated array — disjoint writes, no merge
-      order — and tallies sequentially, so the histogram is identical at
-      every job count.
+    - {!census} decides each maximal run of undecided ranks of a pool
+      chunk into its own small histogram and adds it to the total
+      through [Dist_ledger.absorb], as the distributed coordinator
+      does.  The runs are disjoint and a histogram sum does not depend
+      on its order, so the histogram is identical at every job count.
     - {!synth_portfolio} runs independently-seeded climbs and returns the
       first success in seed order; later seeds are only skipped once an
       earlier one has succeeded.
@@ -172,30 +173,6 @@ val search :
     deadlines and supervision cannot apply to an entry point whose
     result promises completeness. *)
 
-val max_discerning :
-  ?cache:Cache.t ->
-  ?obs:Obs.t ->
-  ?supervisor:Supervise.t ->
-  config:Api.Config.t ->
-  Pool.t ->
-  Objtype.t ->
-  Analysis.level
-
-val max_recording :
-  ?cache:Cache.t ->
-  ?obs:Obs.t ->
-  ?supervisor:Supervise.t ->
-  config:Api.Config.t ->
-  Pool.t ->
-  Objtype.t ->
-  Analysis.level
-(** The upward scans of [Numbers], driven by {!search_within}, up to
-    [config.cap].  A scan cut by the deadline — or degraded by
-    quarantined chunks under a [supervisor] — returns the highest level
-    it fully established with [Analysis.At_least] status (never a
-    fabricated [Exact]); with an already-expired deadline that is level
-    1, the unconditional floor. *)
-
 val analyze :
   ?cache:Cache.t ->
   ?obs:Obs.t ->
@@ -209,7 +186,9 @@ val analyze :
     result, with the same certificates; [Analysis.elapsed] is measured
     on [Obs.Clock].  With a deadline (or quarantined chunks under a
     [supervisor]), both level scans degrade to honest [At_least] lower
-    bounds. *)
+    bounds: the highest level each fully established, never a fabricated
+    [Exact]; with an already-expired deadline that is level 1, the
+    unconditional floor. *)
 
 val analyze_all :
   ?cache:Cache.t ->
@@ -328,10 +307,13 @@ val census :
     distributed coordinator writes: a header pinning space, cap and size
     (a stale file from another census is rejected with
     [Dist_ledger.Mismatch]), then one [Done] record per maximal run of ranks
-    a pool chunk decided, flushed as it finishes ([kill -9]-safe).
-    [resume] (with [checkpoint]) replays the file through
-    [Dist_ledger.replay_done] and recomputes only the gaps, for the
-    identical histogram; [rcn census --workers N --ledger F --resume]
+    a pool chunk decided, appended as the run is merged ([kill -9]-safe).
+    Every census starts from [Dist_ledger.replay_done] of the file's
+    records — of none without [resume] or [checkpoint] — and merges each
+    decided run through [Dist_ledger.absorb], so no rank is counted or
+    recorded twice, even across a supervisor retry.  [resume] (with
+    [checkpoint]) thus recomputes only the gaps, for the identical
+    histogram; [rcn census --workers N --ledger F --resume]
     finishes such a file too, and vice versa.  An older format (a v2
     checkpoint) fails the ledger magic and is dropped like a torn tail.
     [durable] (default [false]) [fsync]s every append, extending crash

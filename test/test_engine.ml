@@ -522,6 +522,57 @@ let test_checkpoint_truncate_every_offset () =
     resumed.Engine.resumed;
   check_bool "stitched histogram identical" true (resumed.Engine.entries = seq)
 
+(* A checkpointed census merges each decided run through
+   [Dist_ledger.absorb], so no rank is recorded twice: not when chunks
+   fail and are retried, not when a watchdog cancels a sweep and reruns
+   it with halved chunks over partly committed ranges, and not when a
+   deadline cuts it.  The [Done] widths then sum to exactly the tables
+   the run decided, and a resume finishes the file bit-identically. *)
+let test_census_checkpoint_records_once () =
+  let space = ckpt_space in
+  let seq = Census.exhaustive ~cap:3 space in
+  let config = Api.Config.v ~cap:3 () in
+  let plan path = Dist_ledger.plan_of_ledger ~expected:ckpt_header ~total:256 path in
+  let widths path = List.fold_left (fun a (r, _) -> a + done_width r) 0 (ledger_records path) in
+  let policy = Supervise.Policy.v ~base_backoff:1e-5 ~max_backoff:1e-4 () in
+  Pool.with_pool ~jobs:2 @@ fun pool ->
+  let healed label supervisor =
+    with_temp_file @@ fun path ->
+    let run = Engine.census ~supervisor ~checkpoint:path ~config pool space in
+    check_bool (label ^ ": complete, histogram identical") true
+      (run.Engine.complete && run.Engine.entries = seq);
+    check_bool (label ^ ": the ledger has no gaps") true ((plan path).Dist_ledger.plan_gaps = []);
+    check_int (label ^ ": Done widths sum to the space") 256 (widths path)
+  in
+  (* Half the chunks fail once, then heal. *)
+  let chaos = Supervise.Chaos.create ~rate:0.5 ~seed:3 () in
+  let sup = Supervise.create ~policy ~chaos () in
+  healed "chaos" sup;
+  check_bool "chaos: retries were exercised" true (Supervise.retries sup > 0);
+  (* A clock that jumps past the interval at every read: whenever one
+     worker polls while the other is busy, the sweep is cancelled and
+     rerun, until the last round runs without the watchdog. *)
+  let t = ref 0.0 in
+  let now () = t := !t +. 2.0; !t in
+  let wd = Supervise.Watchdog.create ~now ~interval:1.0 ~jobs:2 () in
+  healed "watchdog" (Supervise.create ~policy ~watchdog:wd ());
+  List.iter
+    (fun (label, deadline) ->
+      with_temp_file @@ fun path ->
+      let cut = Engine.census ~checkpoint:path ~config:(Api.Config.v ~cap:3 ~deadline ()) pool space in
+      check_int (label ^ ": Done widths sum to the decided tables")
+        (cut.Engine.completed - cut.Engine.resumed) (widths path);
+      check_int (label ^ ": the ledger covers what was decided") cut.Engine.completed
+        (plan path).Dist_ledger.plan_covered;
+      let again = Engine.census ~checkpoint:path ~resume:true ~config pool space in
+      check_int (label ^ ": resume trusts the cut run") cut.Engine.completed again.Engine.resumed;
+      check_bool (label ^ ": resume bit-identical") true
+        (again.Engine.complete && again.Engine.entries = seq);
+      check_int (label ^ ": Done widths sum to the space after resume") 256 (widths path))
+    (* 0.2 ms cuts the sweep mid-chunk on a one-core host; wherever it
+       falls, the sums must hold. *)
+    [ ("expired deadline", -1.0); ("short deadline", 2e-4) ]
+
 (* ------------------------------------------------------------------ *)
 (* Deadlines: degrade, never lie. *)
 
@@ -855,6 +906,8 @@ let suite =
       test_checkpoint_load_edge_cases;
     Alcotest.test_case "checkpoint survives truncation at every byte offset" `Slow
       test_checkpoint_truncate_every_offset;
+    Alcotest.test_case "checkpointed census records each rank once" `Slow
+      test_census_checkpoint_records_once;
     Alcotest.test_case "expired deadline degrades to honest floors" `Quick
       test_expired_deadline_analyze;
     Alcotest.test_case "deadline-cut analyses never overclaim" `Slow
